@@ -78,19 +78,14 @@ def test_runtime_backend_sweep(benchmark):
     # that explicitly rather than omitting the key
     assert report["cases"][0]["backends"]["scipy"]["apply_modes"] is None
 
-    # the layout gate (schema v4): the interleaved-vs-binned block
+    # the layout gate (schema v8): the SoA-vs-AoS kernel block
     # carries one finite timing row per planner size bin
-    layout = report["interleaved_vs_binned"]
+    layout = report["soa_vs_aos"]
     assert [r["tile"] for r in layout] == [4, 8, 16, 32]
     for r in layout:
-        assert r["binned_seconds"] > 0.0
-        assert r["interleaved_seconds"] > 0.0
+        assert r["aos_seconds"] > 0.0
+        assert r["soa_seconds"] > 0.0
         assert r["speedup"] > 0.0
-    # and the interleaved backend itself is swept and cross-checked
-    # like any other registered backend
-    assert "interleaved" in report["meta"]["backends"]
-    for case in report["cases"]:
-        assert case["checks"]["interleaved"]["passed"]
 
     # timing anchor: the binned factorization of a large mixed batch
     batch = random_batch(4000, size_range=(1, 32), kind="diag_dominant",

@@ -18,7 +18,7 @@ Quintana-Orti, ICPP 2017 (DOI 10.1109/ICPP.2017.18):
   five batched factorization backends;
 * :mod:`repro.runtime` - the execution subsystem: size-binned batch
   planning at the warp-tile ladder, pluggable backends
-  (numpy/binned/scipy/threads), a content-fingerprinted factorization
+  (binned/numpy/scipy), a content-fingerprinted factorization
   cache, and per-stage/per-bin instrumentation;
 * :mod:`repro.solvers` - IDR(s) (the paper's IDR(4)), BiCGSTAB, CG,
   GMRES.

@@ -10,6 +10,11 @@ backend divergence beyond tolerance fails the run.
 
 Schema history
 --------------
+* v8: the layout block is renamed ``soa_vs_aos`` (``aos_seconds``,
+  ``soa_seconds``, ``speedup``) and times the kernels themselves -
+  ``lu_factor`` against ``interleaved_lu_factor`` - since the
+  ``binned`` backend runs the SoA layout and the ``interleaved``
+  backend is gone.
 * v7: top-level ``obs`` block
   (:func:`repro.bench.serving_load.run_slo_bench`): the SLO burn-rate
   / flight-recorder bench - alert counts from the scripted
@@ -70,7 +75,7 @@ __all__ = ["run_backend_sweep", "format_sweep_summary"]
 
 #: version of the BENCH_runtime.json document layout; bump on any
 #: structural change so downstream comparisons can gate on it
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 SCHEMA_NAME = "repro.bench.runtime_sweep"
 
 
@@ -97,7 +102,7 @@ def _git_sha() -> str | None:
 REFERENCE = "numpy"
 
 #: default agreement tolerance on well-conditioned batches (float64);
-#: binned/threads are bitwise vs numpy, scipy differs by rounding only
+#: binned LU is bitwise vs numpy, scipy differs by rounding only
 CHECK_TOL = 1e-9
 
 _QUICK_SIZES = (4, 8, 16, 32)
@@ -160,8 +165,8 @@ def _time_apply_modes(
     }
 
 
-#: uniform tiles of the interleaved-vs-binned layout comparison - one
-#: row per size bin of the default planner
+#: uniform tiles of the SoA-vs-AoS layout comparison - one row per
+#: size bin of the default planner
 _LAYOUT_TILES = (4, 8, 16, 32)
 
 #: best-of repeats of each layout factorize timing
@@ -169,12 +174,20 @@ _LAYOUT_REPEATS = 3
 
 
 def _time_layouts(quick: bool, seed: int) -> list[dict]:
-    """Per-tile factorize seconds: binned (AoS) vs interleaved (SoA).
+    """Per-tile LU factorize seconds: AoS cores vs SoA sweeps.
 
-    Uniform batches, one per planner size bin, so each row times
-    exactly one bin's sweep in each layout; ``speedup`` > 1 means the
-    interleaved layout won that tile on this host.
+    The paper's layout ablation, timed on the kernels directly
+    (``lu_factor`` against ``interleaved_lu_factor``) over uniform
+    batches, one per planner size bin; ``speedup`` > 1 means the SoA
+    layout - the ``binned`` backend's - won that tile on this host.
     """
+    from ..core.batched_lu import lu_factor
+    from ..core.interleaved import interleaved_lu_factor
+
+    kernels = {
+        "aos": lambda b: lu_factor(b, pivoting="implicit"),
+        "soa": interleaved_lu_factor,
+    }
     nb = 128 if quick else 1024
     rows = []
     for tile in _LAYOUT_TILES:
@@ -182,23 +195,22 @@ def _time_layouts(quick: bool, seed: int) -> list[dict]:
             nb, size=tile, kind="diag_dominant", seed=seed + tile
         )
         seconds = {}
-        for name in ("binned", "interleaved"):
-            rt = BatchRuntime(backend=name, cache=False)
+        for name, kernel in kernels.items():
             best = float("inf")
             for _ in range(_LAYOUT_REPEATS):
                 t0 = time.perf_counter()
-                rt.factorize(batch, method="lu", use_cache=False)
+                kernel(batch)
                 best = min(best, time.perf_counter() - t0)
             seconds[name] = best
         rows.append(
             {
                 "tile": tile,
                 "nb": nb,
-                "binned_seconds": seconds["binned"],
-                "interleaved_seconds": seconds["interleaved"],
+                "aos_seconds": seconds["aos"],
+                "soa_seconds": seconds["soa"],
                 "speedup": (
-                    seconds["binned"] / seconds["interleaved"]
-                    if seconds["interleaved"] > 0.0
+                    seconds["aos"] / seconds["soa"]
+                    if seconds["soa"] > 0.0
                     else float("inf")
                 ),
             }
@@ -382,7 +394,7 @@ def run_backend_sweep(
                 "git_sha": _git_sha(),
             },
             "cases": cases,
-            "interleaved_vs_binned": _time_layouts(quick, seed),
+            "soa_vs_aos": _time_layouts(quick, seed),
             "serving": serving,
             "overload": overload,
             "obs": obs,
@@ -427,21 +439,21 @@ def format_sweep_summary(report: dict) -> str:
             f"[{status}, max divergence {report['max_discrepancy']:.2e}]"
         ),
     )
-    layout = report.get("interleaved_vs_binned")
+    layout = report.get("soa_vs_aos")
     if layout:
         out += "\n\n" + format_table(
-            ["tile", "nb", "binned ms", "interleaved ms", "speedup"],
+            ["tile", "nb", "AoS ms", "SoA ms", "speedup"],
             [
                 [
                     r["tile"],
                     r["nb"],
-                    f"{r['binned_seconds'] * 1e3:.2f}",
-                    f"{r['interleaved_seconds'] * 1e3:.2f}",
+                    f"{r['aos_seconds'] * 1e3:.2f}",
+                    f"{r['soa_seconds'] * 1e3:.2f}",
                     f"{r['speedup']:.2f}",
                 ]
                 for r in layout
             ],
-            title="interleaved (SoA) vs binned (AoS) factorize",
+            title="SoA vs AoS LU factorize (kernels)",
         )
     serving = report.get("serving")
     if serving:

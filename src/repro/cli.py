@@ -16,7 +16,7 @@ Gives downstream users the paper's workflows without writing code:
     backward-error metrology, adversarial batches, SIMT replay) and
     exit nonzero on any violation.
 ``python -m repro bench --quick``
-    Sweep the runtime backends (numpy/binned/scipy/threads) over the
+    Sweep the runtime backends (binned/numpy/scipy) over the
     SIZE/BATCH axes, cross-check them against each other, and write
     ``BENCH_runtime.json``; exits nonzero on backend divergence.
 ``python -m repro solve fem_b4_s0 --trace out.trace.json --metrics``
@@ -156,21 +156,21 @@ def _run_solve(args) -> int:
     elif args.method == "scalar":
         M = ScalarJacobiPreconditioner().setup(A)
     else:
-        runtime = None
-        if chain is not None:
-            # a fallback chain implies the runtime path; the first
-            # chain entry that is not the primary becomes the fallback
-            primary = args.backend or "binned"
-            runtime = BatchRuntime(
-                backend=primary,
-                fallback=[c for c in chain if c != primary],
-            )
+        # a fallback chain makes the runtime resilient; chain entries
+        # other than the primary become its fallbacks
+        runtime = BatchRuntime(
+            backend=args.backend,
+            fallback=(
+                None
+                if chain is None
+                else [c for c in chain if c != args.backend]
+            ),
+        )
         M = BlockJacobiPreconditioner(
             method=args.method,
             max_block_size=args.bound,
             on_singular=args.on_singular,
             apply_mode=args.apply_mode,
-            backend=None if runtime is not None else args.backend,
             runtime=runtime,
         ).setup(A)
         print(M.report.summary())
@@ -421,6 +421,8 @@ def _cmd_telemetry_overhead(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runtime import available_backends
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Variable-size batched LU / block-Jacobi "
@@ -444,18 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["factor", "inverse", "auto"],
                     help="preconditioner apply path: native triangular "
                          "solves (factor), explicit-inverse batched GEMV "
-                         "(inverse), or per-bin measured choice (auto; "
-                         "runtime path only)")
+                         "(inverse), or per-bin measured choice "
+                         "(auto)")
     pv.add_argument("--on-singular", default="raise",
                     choices=["raise", "identity", "scalar", "shift"],
                     help="what to do with singular diagonal blocks "
                     "(default: raise)")
-    pv.add_argument("--backend", default=None,
-                    choices=["numpy", "binned", "interleaved", "scipy",
-                             "threads"],
-                    help="route the batched setup/apply through the "
-                    "repro.runtime executor backend (default: direct "
-                    "kernel path)")
+    pv.add_argument("--backend", default="binned",
+                    choices=available_backends(),
+                    help="repro.runtime backend that runs the batched "
+                    "setup/apply (default: binned)")
     pv.add_argument("--solver", default="idr",
                     choices=["idr", "bicgstab", "gmres", "cg"])
     pv.add_argument("-s", type=int, default=4, help="IDR shadow dimension")
@@ -593,8 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     pto.add_argument("--solves", type=int, default=4,
                      help="batched solves per factorization")
     pto.add_argument("--backend", default="binned",
-                     choices=["numpy", "binned", "interleaved", "scipy",
-                              "threads"])
+                     choices=available_backends())
     pto.set_defaults(fn=_cmd_telemetry_overhead)
     return p
 

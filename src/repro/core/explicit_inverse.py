@@ -36,6 +36,12 @@ from .batched_lu import LUFactors
 from .batched_trsv import lu_solve
 from .blas import batched_gemv
 from .degradation import DegradationRecord, OnSingular
+from .interleaved import (
+    InterleavedGHFactors,
+    InterleavedLUFactors,
+    interleaved_gh_solve,
+    interleaved_lu_solve,
+)
 
 __all__ = [
     "GJEInverseState",
@@ -110,13 +116,19 @@ def batched_gauss_jordan(
 
 
 def _solver_for(fac):
-    """(solve kernel, method label) for a factorization object."""
+    """(solve kernel, method label, dtype) for a factorization object."""
+    if isinstance(fac, InterleavedLUFactors):
+        return interleaved_lu_solve, "lu", fac.soa.dtype
+    if isinstance(fac, InterleavedGHFactors):
+        label = "ght" if fac.transposed else "gh"
+        return interleaved_gh_solve, label, fac.soa.dtype
     if isinstance(fac, LUFactors):
-        return lu_solve, "lu"
+        return lu_solve, "lu", fac.factors.dtype
     if isinstance(fac, GHFactors):
-        return gh_solve, ("ght" if fac.transposed else "gh")
+        label = "ght" if fac.transposed else "gh"
+        return gh_solve, label, fac.factors.dtype
     if isinstance(fac, CholeskyFactors):
-        return cholesky_solve, "cholesky"
+        return cholesky_solve, "cholesky", fac.factors.dtype
     raise TypeError(
         f"cannot build an explicit inverse from {type(fac).__name__}"
     )
@@ -133,7 +145,9 @@ def invert_factors(fac) -> GJEInverseState:
 
     Accepts :class:`~repro.core.batched_lu.LUFactors`,
     :class:`~repro.core.batched_gauss_huard.GHFactors`,
-    :class:`~repro.core.batched_cholesky.CholeskyFactors`, a
+    :class:`~repro.core.batched_cholesky.CholeskyFactors`, their
+    interleaved (SoA) counterparts from :mod:`repro.core.interleaved`
+    (solved in their own layout), a
     :class:`~repro.core.batched_gauss_jordan.GJInverse` (rewrapped
     without copying), or a :class:`GJEInverseState` (returned as is).
     Raises ``ValueError`` on factorizations with unresolved singular
@@ -149,7 +163,7 @@ def invert_factors(fac) -> GJEInverseState:
             method="gje",
             degradation=fac.degradation,
         )
-    solve, label = _solver_for(fac)
+    solve, label, dtype = _solver_for(fac)
     if not fac.ok:
         bad = int(np.count_nonzero(fac.info))
         raise ValueError(
@@ -157,7 +171,6 @@ def invert_factors(fac) -> GJEInverseState:
             "block(s); apply an on_singular policy first"
         )
     nb, tile = fac.nb, fac.tile
-    dtype = fac.factors.data.dtype
     sizes = fac.sizes
     inv = np.empty((nb, tile, tile), dtype=dtype)
     e = np.zeros((nb, tile), dtype=dtype)

@@ -28,18 +28,18 @@ The contract with the AoS cores is strict:
 For LU and the TRSV sweeps every arithmetic operation is elementwise
 (SCAL, GER, AXPY, one divide per step), applied to the same scalars in
 the same order - the results are **bitwise identical** to the AoS
-kernels.  The Gauss-Huard lazy row update and its solve replay contract
-over the ``j`` axis with ``einsum``; the summation order over a
-differently-strided operand is not guaranteed to match the AoS
-reduction, so GH/GH-T results agree to rounding (a few ulps), exactly
-like the ``scipy`` differential anchor.
+kernels.  The Gauss-Huard lazy row update and its solve replay sum
+over the ``j`` axis; they accumulate in a fixed order, one elementwise
+multiply-add per ``j``, while the AoS cores contract with ``einsum``.
+GH/GH-T results therefore agree with the AoS kernels to rounding (a
+few ulps), and a block's result never depends on the batch it runs in.
 
-Factor objects carry their SoA storage plus ``to_aos()`` adapters that
-rebuild the equivalent :class:`~repro.core.batched_lu.LUFactors` /
-:class:`~repro.core.batched_gauss_huard.GHFactors`, which is how the
-``interleaved`` runtime backend reuses the existing
-:func:`~repro.core.explicit_inverse.invert_factors` path for
-``apply_mode="inverse"``.
+These kernels are the ``binned`` runtime backend's layout for
+``lu``/``gh``/``ght``.  Factor objects carry their SoA storage plus
+``to_aos()`` adapters that rebuild the equivalent
+:class:`~repro.core.batched_lu.LUFactors` /
+:class:`~repro.core.batched_gauss_huard.GHFactors`, the bridge to the
+AoS reference path.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "aos_to_soa",
     "interleaved_gh_factor",
     "interleaved_gh_solve",
-    "interleaved_kernel_pair",
     "interleaved_lu_factor",
     "interleaved_lu_solve",
     "soa_to_aos",
@@ -195,7 +194,21 @@ class InterleavedGHFactors:
 # -- LU ----------------------------------------------------------------------
 
 
-def _ilu_core(S: np.ndarray):
+#: bins with fewer blocks run the LU core's GER update block by block:
+#: with only a few blocks, the batch-axis inner loops are too short to
+#: amortise NumPy's per-loop cost, so the update iterates over the
+#: trailing columns innermost instead (same elementwise arithmetic,
+#: bit for bit; only the traversal order changes)
+_BY_BLOCK_NB = 8
+
+#: the LU core's GER update and final row gather work in column / row
+#: slabs: a quarter of the tile, or more while a slab's temporary stays
+#: under this many elements.  A large bin's temporaries then stay a
+#: quarter of the batch, and a small bin runs in one piece.
+_TEMP_ELEMENTS = 1 << 16
+
+
+def _ilu_core(S: np.ndarray, out: np.ndarray | None = None):
     """Implicit-pivoting LU on one interleaved ``(tile, tile, nb)`` batch.
 
     Step-for-step mirror of
@@ -205,13 +218,15 @@ def _ilu_core(S: np.ndarray):
     only the storage order differs, so the results are bitwise equal.
     Each step's SCAL writes one contiguous ``nb``-vector and the GER
     updates ``(tile - k - 1)`` of them, which is the locality win of
-    the layout.
+    the layout.  The pivoted rows are gathered into ``out`` (a fresh
+    array when None).
     """
     tile, _, nb = S.shape
     barange = np.arange(nb)
     steps = np.full((nb, tile), -1, dtype=np.int64)
     pivoted = np.zeros((tile, nb), dtype=bool)
     info = np.zeros(nb, dtype=np.int64)
+    slab = max(1, tile // 4, _TEMP_ELEMENTS // (tile * max(nb, 1)))
     for k in range(tile):
         col = np.abs(S[:, k, :])
         col[pivoted] = -1.0
@@ -223,8 +238,7 @@ def _ilu_core(S: np.ndarray):
         singular = (pivot_val == 0) | ~np.isfinite(pivot_val)
         np.copyto(info, k + 1, where=(info == 0) & singular)
         update = ~pivoted
-        inv_pivot = np.ones_like(pivot_val)
-        np.divide(1.0, pivot_val, out=inv_pivot, where=~singular)
+        inv_pivot = 1.0 / np.where(singular, 1.0, pivot_val)
         scal = S[:, k, :]
         np.multiply(
             scal,
@@ -232,21 +246,39 @@ def _ilu_core(S: np.ndarray):
             out=scal,
             where=update & ~singular[None, :],
         )
-        pivot_row = S[ipiv, :, barange].T  # (tile, nb) view of row ipiv
-        if k + 1 < tile:
-            trailing = S[:, k + 1 :, :]
+        if nb < _BY_BLOCK_NB:
+            # (nb, tile, tile) views, C-order traversal: columns inner
+            trailing = S.transpose(2, 0, 1)[:, :, k + 1 :]
             np.subtract(
                 trailing,
-                S[:, k, None, :] * pivot_row[None, k + 1 :, :],
+                np.multiply(
+                    S[:, k, :].T[:, :, None],
+                    S[ipiv, k + 1 :, barange][:, None, :],
+                    order="C",
+                ),
                 out=trailing,
-                where=update[:, None, :],
+                where=update.T[:, :, None],
+                order="C",
             )
+        else:
+            pivot_row = S[ipiv, :, barange].T  # (tile, nb) row ipiv
+            for c in range(k + 1, tile, slab):
+                cols = slice(c, c + slab)
+                trailing = S[:, cols, :]
+                np.subtract(
+                    trailing,
+                    S[:, k, None, :] * pivot_row[None, cols, :],
+                    out=trailing,
+                    where=update[:, None, :],
+                )
     perm = steps_to_perm(steps)
-    cols = np.arange(tile)
-    out = S[
-        perm.T[:, None, :], cols[None, :, None], barange[None, None, :]
-    ]
-    return np.ascontiguousarray(out), perm, info
+    if out is None:
+        out = np.empty_like(S)
+    every_col = np.arange(tile)[None, :, None]
+    for r in range(0, tile, slab):
+        rows = perm.T[r : r + slab, None, :]
+        out[r : r + slab] = S[rows, every_col, barange]
+    return out, perm, info
 
 
 def interleaved_lu_factor(
@@ -257,18 +289,20 @@ def interleaved_lu_factor(
     """Implicit-pivoting LU of every block, in interleaved storage.
 
     Same signature semantics as :func:`repro.core.batched_lu.lu_factor`
-    (``overwrite`` grants permission to destroy the input; the layout
-    transform copies regardless, so the input always survives) and the
-    same ``on_singular`` policies via the shared substitution engine.
-    The returned factors, permutations and ``info`` are bitwise equal
-    to the AoS kernel's.
+    and the same ``on_singular`` policies via the shared substitution
+    engine.  ``overwrite`` grants permission to destroy the input: its
+    buffer then holds the SoA factors, so the factorization needs no
+    second output array.  The returned factors, permutations and
+    ``info`` are bitwise equal to the AoS kernel's.
     """
     originals = None
     if on_singular in ("scalar", "shift"):
-        originals = batch.data
+        originals = batch.data.copy() if overwrite else batch.data
     sizes = batch.sizes.copy()
     S = aos_to_soa(batch.data)
-    out, perm, info = _ilu_core(S)
+    out, perm, info = _ilu_core(
+        S, batch.data.reshape(S.shape) if overwrite else None
+    )
     record = None
     if on_singular is not None:
 
@@ -328,15 +362,29 @@ def interleaved_lu_solve(
 # -- Gauss-Huard -------------------------------------------------------------
 
 
+def _fixed_order_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_j a[j] * b[j]`` accumulated for ``j = 0, 1, ...`` in turn.
+
+    Every step is an elementwise multiply-add over the batch axis, so
+    each block's sum is rounded the same way whatever batch (or
+    sub-batch) it sits in.  An ``einsum`` contraction would pick its
+    summation order from the operand shapes instead.
+    """
+    acc = a[0] * b[0]
+    for j in range(1, a.shape[0]):
+        acc += a[j] * b[j]
+    return acc
+
+
 def _igh_core(S: np.ndarray):
     """Gauss-Huard loop on one interleaved ``(tile, tile, nb)`` batch.
 
     Mirror of :func:`repro.core.batched_gauss_huard._gh_core`.  The
     pivot search, column exchange, ``info`` bookkeeping, scaling and
     eager upward elimination are elementwise and bitwise-faithful; the
-    lazy row update's einsum contracts over a transposed operand order,
-    so its accumulated sums agree with the AoS core to rounding rather
-    than bit for bit (documented in the module docstring).
+    lazy row update accumulates its ``j`` sum in a fixed order, so it
+    agrees with the AoS core's einsum to rounding and never depends on
+    the batch it runs in (see the module docstring).
     """
     tile, _, nb = S.shape
     barange = np.arange(nb)
@@ -344,9 +392,7 @@ def _igh_core(S: np.ndarray):
     info = np.zeros(nb, dtype=np.int64)
     for k in range(tile):
         if k:
-            S[k, k:, :] -= np.einsum(
-                "jb,jcb->cb", S[k, :k, :], S[:k, k:, :]
-            )
+            S[k, k:, :] -= _fixed_order_sum(S[k, :k, None, :], S[:k, k:, :])
         row = np.abs(S[k, :, :])
         row[:k, :] = -1.0
         np.copyto(row, np.inf, where=np.isnan(row))
@@ -384,7 +430,9 @@ def interleaved_gh_factor(
     """Gauss-Huard factorization of every block, interleaved storage.
 
     Mirrors :func:`repro.core.batched_gauss_huard.gh_factor`, including
-    the GH-T transposed layout and all ``on_singular`` policies.
+    the GH-T transposed layout and all ``on_singular`` policies.  With
+    ``overwrite`` the input's buffer receives the SoA factors, as in
+    :func:`interleaved_lu_factor`.
     """
     originals = None
     if on_singular in ("scalar", "shift"):
@@ -412,7 +460,13 @@ def interleaved_gh_factor(
             kernel="batched Gauss-Huard (interleaved layout)",
         )
     if transposed:
-        S = np.ascontiguousarray(S.transpose(1, 0, 2))
+        S = S.transpose(1, 0, 2)
+    if overwrite:
+        out = batch.data.reshape(S.shape)
+        out[...] = S
+        S = out
+    elif transposed:
+        S = np.ascontiguousarray(S)
     return InterleavedGHFactors(
         soa=S,
         colperm=colperm,
@@ -457,42 +511,10 @@ def interleaved_gh_solve(
         for k in range(tile):
             rk = row(k)
             if k:
-                b[k, :] -= np.einsum("jb,jb->b", rk[:k], b[:k])
+                b[k, :] -= _fixed_order_sum(rk[:k], b[:k])
             b[k, :] /= rk[k]
             if k:
                 b[:k, :] -= col(k)[:k] * b[k, :]
     x = np.empty_like(b)
     x[fac.colperm.T, barange[None, :]] = b
     return BatchedVectors(soa_to_aos(x), rhs.sizes.copy())
-
-
-# -- backend kernel-pair adapter ---------------------------------------------
-
-
-def interleaved_kernel_pair(method: str):
-    """(factor, solve) pair matching the runtime backends' calling
-    convention (``factor(batch, policy, overwrite)``).
-
-    Supports ``"lu"``, ``"gh"`` and ``"ght"``; the ``gje`` and
-    ``cholesky`` methods have no interleaved realisation (yet) and
-    raise ``ValueError``, the same contract the ``scipy`` backend uses
-    for its LU-only restriction.
-    """
-    if method == "lu":
-        return (
-            lambda b, pol, ow: interleaved_lu_factor(
-                b, overwrite=ow, on_singular=pol
-            ),
-            interleaved_lu_solve,
-        )
-    if method in ("gh", "ght"):
-        return (
-            lambda b, pol, ow, t=(method == "ght"): interleaved_gh_factor(
-                b, transposed=t, overwrite=ow, on_singular=pol
-            ),
-            interleaved_gh_solve,
-        )
-    raise ValueError(
-        "the interleaved kernels support methods 'lu', 'gh' and 'ght' "
-        f"only, got {method!r}"
-    )

@@ -267,7 +267,7 @@ def interleaved_lu_factor_counts(
     :mod:`repro.gpu.warp_lu` (the NumPy runtime realises the layout in
     :mod:`repro.core.interleaved`), so it is priced from this closed
     form directly rather than replay-verified; the
-    ``interleaved_vs_binned`` block of ``BENCH_runtime.json`` is its
+    ``soa_vs_aos`` block of ``BENCH_runtime.json`` is its
     measured counterpart.
     """
     s = KernelStats()

@@ -4,7 +4,10 @@ The paper's "complete block-Jacobi preconditioner ecosystem": the setup
 phase runs supervariable blocking, extracts the diagonal blocks into a
 padded batch, and factorizes the whole batch with one batched kernel;
 the application phase gathers the vector into per-block segments and
-runs one batched solve.  Five factorization backends are supported:
+runs one batched solve.  Both run through one
+:class:`~repro.runtime.BatchRuntime` (the ``binned`` backend unless a
+runtime or backend is given).  Five factorization methods are
+supported:
 
 ``"lu"``
     The paper's contribution: batched LU with implicit partial
@@ -67,17 +70,11 @@ import numpy as np
 from ..blocking.extraction import extract_blocks
 from ..blocking.supervariable import supervariable_blocking
 from ..core.batch import MAX_TILE, BatchedMatrices, BatchedVectors
-from ..core.batched_cholesky import cholesky_factor, cholesky_solve
-from ..core.batched_gauss_huard import gh_factor, gh_solve
-from ..core.batched_gauss_jordan import gj_apply, gj_invert
-from ..core.batched_lu import lu_factor
-from ..core.batched_trsv import lu_solve
 from ..core.degradation import (
     SINGULAR_POLICIES,
     OnSingular,
     SingularBlockError,
 )
-from ..core.explicit_inverse import inverse_apply, invert_factors
 from ..runtime import APPLY_MODES, BatchRuntime
 from ..sparse.csr import CsrMatrix
 from ..telemetry.tracer import get_tracer
@@ -121,24 +118,20 @@ class BlockJacobiPreconditioner(Preconditioner):
         re-wrap for ``method="gje"``, whose factors already *are*
         inverses) so every apply collapses to one batched GEMV;
         ``"auto"`` lets the runtime's autotuner measure both paths per
-        bin and keep the winner (on the direct path, where no tuner
-        runs, ``"auto"`` resolves to ``"inverse"``).  The effective
-        mode actually in force is recorded in the setup report -
-        backends that cannot invert fall back to ``"factor"``.
+        bin and keep the winner.  The effective mode actually in force
+        is recorded in the setup report - backends that cannot invert
+        fall back to ``"factor"``.
     runtime, backend:
-        Route the batched factorization and solves through the
-        :mod:`repro.runtime` execution subsystem instead of direct
-        kernel calls.  ``backend`` names a registered executor backend
-        (``"binned"``, ``"numpy"``, ``"scipy"``, ``"threads"``) and
-        builds a private :class:`~repro.runtime.BatchRuntime` for it;
+        The :mod:`repro.runtime` executor that runs the batched
+        factorization and solves.  ``backend`` names a registered
+        backend (``"binned"``, ``"numpy"``, ``"scipy"``) and builds a
+        private :class:`~repro.runtime.BatchRuntime` for it;
         ``runtime`` shares an existing one (and with it its
         factorization cache - the serving scenario where repeated
-        setups on the same matrix skip refactorization).  When both
-        are None (the default) the historical direct path runs; the
-        runtime path is numerically equivalent (the ``binned``/
-        ``threads`` backends are bitwise-identical to it on the
-        active blocks) and additionally records a
-        :class:`~repro.runtime.RuntimeReport` in ``runtime_report``.
+        setups on the same matrix skip refactorization).  With both
+        None (the default) a private ``binned`` runtime runs.  The
+        call's :class:`~repro.runtime.RuntimeReport` lands in
+        ``runtime_report``.
 
     Attributes (after ``setup``)
     ----------------------------
@@ -153,8 +146,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         estimates.
     runtime_report:
         :class:`~repro.runtime.RuntimeReport` of the setup's
-        factorization call (None on the direct path); also attached to
-        ``report.runtime``.
+        factorization call; also attached to ``report.runtime``.
     setup_seconds:
         Wall time of extraction + factorization (+ estimation).
     """
@@ -201,8 +193,8 @@ class BlockJacobiPreconditioner(Preconditioner):
                     f"{runtime.backend.name!r}) and backend={backend!r}; "
                     "pass one or the other"
                 )
-        if runtime is None and backend is not None:
-            runtime = BatchRuntime(backend=backend)
+        if runtime is None:
+            runtime = BatchRuntime(backend=backend or "binned")
         self._runtime = runtime
         self.block_sizes: np.ndarray | None = None
         self.info: np.ndarray | None = None
@@ -210,7 +202,6 @@ class BlockJacobiPreconditioner(Preconditioner):
         self.runtime_report = None
         self._matrix: CsrMatrix | None = None
         self._factor = None
-        self._inverse = None
         self._effective_method: str = method
         self._effective_apply_mode: str = "factor"
         self._n = 0
@@ -312,17 +303,19 @@ class BlockJacobiPreconditioner(Preconditioner):
         return self
 
     def _factorize(self, blocks: BatchedMatrices) -> None:
+        rt = self._runtime
         policy = self.on_singular
         effective = self.method
         chol_fallback = False
         n_nonspd = 0
         try:
-            if self._runtime is not None:
-                fac, effective, chol_fallback, n_nonspd = (
-                    self._runtime_factorize(blocks, policy)
+            if self.method == "cholesky":
+                fac = rt.factorize(
+                    blocks,
+                    method="cholesky",
+                    on_singular=None,
+                    apply_mode=self.apply_mode,
                 )
-            elif self.method == "cholesky":
-                fac = cholesky_factor(blocks, overwrite=False)
                 if not fac.ok:
                     # documented policy: non-SPD blocks demote the whole
                     # batch to the general LU path, with a warning flag.
@@ -334,30 +327,15 @@ class BlockJacobiPreconditioner(Preconditioner):
                         "block(s) are not SPD; falling back to batched "
                         "LU for the whole batch",
                         UserWarning,
-                        stacklevel=3,
+                        stacklevel=4,
                     )
-                    fac = lu_factor(
-                        blocks,
-                        pivoting="implicit",
-                        overwrite=True,
-                        on_singular=policy,
-                    )
-            elif self.method == "lu":
-                fac = lu_factor(
+            if effective != "cholesky":  # not a Cholesky that held
+                fac = rt.factorize(
                     blocks,
-                    pivoting="implicit",
-                    overwrite=True,
+                    method=effective,
                     on_singular=policy,
+                    apply_mode=self.apply_mode,
                 )
-            elif self.method in ("gh", "ght"):
-                fac = gh_factor(
-                    blocks,
-                    transposed=(self.method == "ght"),
-                    overwrite=True,
-                    on_singular=policy,
-                )
-            else:  # gje
-                fac = gj_invert(blocks, overwrite=True, on_singular=policy)
         except SingularBlockError as err:
             bad = int(np.count_nonzero(err.info))
             raise ValueError(
@@ -367,6 +345,7 @@ class BlockJacobiPreconditioner(Preconditioner):
                 "or 'shift' to degrade gracefully, or use a different "
                 "partition"
             ) from err
+        self.runtime_report = rt.last_report
         rec = fac.degradation
         nb = blocks.nb
         if rec is not None:
@@ -379,17 +358,7 @@ class BlockJacobiPreconditioner(Preconditioner):
             shift = np.zeros(nb, dtype=np.float64)
         self._factor = fac
         self._effective_method = effective
-        self._inverse = None
-        effective_apply = "factor"
-        if self._runtime is not None:
-            effective_apply = getattr(fac, "effective_apply_mode", "factor")
-        elif self.apply_mode != "factor" and fac.ok:
-            # Direct path: no per-bin tuner exists here, so "auto"
-            # resolves to "inverse" (the setup premium is the point of
-            # opting in).  For "gje" this is a zero-copy re-wrap.
-            self._inverse = invert_factors(fac)
-            effective_apply = "inverse"
-        self._effective_apply_mode = effective_apply
+        self._effective_apply_mode = fac.effective_apply_mode
         self.info = info
         self.report = SetupReport(
             method=self.method,
@@ -402,50 +371,9 @@ class BlockJacobiPreconditioner(Preconditioner):
             cholesky_lu_fallback=chol_fallback,
             n_nonspd=n_nonspd,
             apply_mode=self.apply_mode,
-            effective_apply_mode=effective_apply,
+            effective_apply_mode=fac.effective_apply_mode,
             runtime=self.runtime_report,
         )
-
-    def _runtime_factorize(self, blocks: BatchedMatrices, policy):
-        """Factorize through the runtime executor (same policy flow as
-        the direct path, including the Cholesky->LU batch fallback)."""
-        rt = self._runtime
-        effective = self.method
-        chol_fallback = False
-        n_nonspd = 0
-        if self.method == "cholesky":
-            fac = rt.factorize(
-                blocks,
-                method="cholesky",
-                on_singular=None,
-                apply_mode=self.apply_mode,
-            )
-            if not fac.ok:
-                n_nonspd = int(np.count_nonzero(fac.info))
-                chol_fallback = True
-                effective = "lu"
-                warnings.warn(
-                    f"cholesky block-Jacobi: {n_nonspd} diagonal "
-                    "block(s) are not SPD; falling back to batched "
-                    "LU for the whole batch",
-                    UserWarning,
-                    stacklevel=4,
-                )
-                fac = rt.factorize(
-                    blocks,
-                    method="lu",
-                    on_singular=policy,
-                    apply_mode=self.apply_mode,
-                )
-        else:
-            fac = rt.factorize(
-                blocks,
-                method=self.method,
-                on_singular=policy,
-                apply_mode=self.apply_mode,
-            )
-        self.runtime_report = rt.last_report
-        return fac, effective, chol_fallback, n_nonspd
 
     def _build_index_maps(self, blocks: BatchedMatrices) -> None:
         nb, tile = blocks.nb, blocks.tile
@@ -479,7 +407,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         for j in range(tile):
             e = np.zeros((nb, tile), dtype=self.dtype)
             e[:, j] = 1.0
-            sol = self._solve_batch(
+            sol = self._factor.solve(
                 BatchedVectors(e, self.block_sizes.copy())
             )
             colsum = (np.abs(sol.data) * self._valid).sum(axis=1)
@@ -490,21 +418,6 @@ class BlockJacobiPreconditioner(Preconditioner):
         return cond
 
     # -- application -----------------------------------------------------------
-
-    def _solve_batch(self, rhs: BatchedVectors) -> BatchedVectors:
-        """One batched solve with the stored factors (method dispatch)."""
-        if self._runtime is not None:
-            return self._factor.solve(rhs)
-        if self._inverse is not None:
-            return inverse_apply(self._inverse, rhs)
-        method = self._effective_method
-        if method == "lu":
-            return lu_solve(self._factor, rhs)
-        if method in ("gh", "ght"):
-            return gh_solve(self._factor, rhs)
-        if method == "gje":
-            return gj_apply(self._factor, rhs)
-        return cholesky_solve(self._factor, rhs)
 
     def rebuild(self) -> "BlockJacobiPreconditioner":
         """Refactorize from the matrix of the last ``setup`` call.
@@ -517,8 +430,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         """
         if getattr(self, "_matrix", None) is None:
             raise RuntimeError("setup() must be called before rebuild()")
-        if self._runtime is not None:
-            self._runtime.invalidate()
+        self._runtime.invalidate()
         return self.setup(self._matrix)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -549,7 +461,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         rhs = BatchedVectors(
             np.ascontiguousarray(seg), self.block_sizes.copy()
         )
-        sol = self._solve_batch(rhs)
+        sol = self._factor.solve(rhs)
         out = np.empty(self._n, dtype=np.float64)
         out[self._gather[self._valid]] = sol.data[self._valid]
         return out

@@ -119,7 +119,7 @@ class SetupReport:
     @property
     def resilience_events(self) -> list[dict]:
         """Fallback/quarantine events of the setup's runtime call
-        (empty on the direct path or a fault-free run)."""
+        (empty without a runtime report or on a fault-free run)."""
         if self.runtime is None:
             return []
         return list(self.runtime.fallback_events)

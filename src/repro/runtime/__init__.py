@@ -6,7 +6,7 @@ Four parts (see DESIGN.md, "Runtime"):
   variable-size batches at the paper's warp-tile ladder (4/8/16/32),
   with stable scatter/gather maps back to the source block order;
 * :mod:`~repro.runtime.backends` - the pluggable backend registry
-  (``numpy``, ``binned``, ``scipy``, ``threads``), one
+  (``binned``, ``numpy``, ``scipy``), one
   ``factorize(plan)/solve(plan, rhs)`` protocol, cross-checkable via
   :mod:`repro.verify`;
 * :mod:`~repro.runtime.cache` - the content-fingerprinted

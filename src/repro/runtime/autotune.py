@@ -27,7 +27,7 @@ from ..clock import PERF
 from ..core.batch import BatchedVectors
 from ..core.explicit_inverse import inverse_apply
 from ..telemetry.serialize import to_native
-from .backends import BackendInverse, _kernel_pair
+from .backends import BackendInverse, at_width, state_solve
 
 __all__ = ["ApplyModeTuning", "BinTuning", "tune_apply_mode"]
 
@@ -134,8 +134,7 @@ def tune_apply_mode(
     timed run reads the clock exactly twice (start, stop), ``repeats``
     times per path, factor path first.
     """
-    method = state[0]
-    _, solve = _kernel_pair(method)
+    solve = state_solve(state)
     binned = isinstance(inverse.states, list)
     facs = state[1] if binned else [state[1]]
     units = inverse.units()
@@ -149,9 +148,11 @@ def tune_apply_mode(
         probe = BatchedVectors(
             np.ones((fac.nb, fac.tile)), np.array(sizes)
         )
-        t_factor = _best_of(lambda: solve(fac, probe), repeats, clock)
+        t_factor = _best_of(
+            lambda: at_width(solve, fac, probe), repeats, clock
+        )
         t_inverse = _best_of(
-            lambda: inverse_apply(inv, probe), repeats, clock
+            lambda: at_width(inverse_apply, inv, probe), repeats, clock
         )
         mode = "inverse" if t_inverse <= t_factor else "factor"
         if mode == "factor":

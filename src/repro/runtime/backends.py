@@ -7,43 +7,49 @@ order - so the executor, the preconditioner, and the bench harness can
 swap them freely, and the differential oracles in :mod:`repro.verify`
 can cross-check them against each other:
 
-``"numpy"``
-    The historical monolithic path: one vectorised kernel call on the
-    source batch at the source tile.  The reference for equivalence.
 ``"binned"``
     The planner's per-bin padded execution (the runtime default): one
     kernel call per occupied size bin at the bin's (tight) tile,
-    results merged back into source order.  Numerically *identical* to
-    ``"numpy"`` - the identity-padded elimination performs the same
-    operations on the active entries at any tile that fits the block.
+    results merged back into source order.  The kernel of each method
+    comes from one table: ``lu``/``gh``/``ght`` run the
+    structure-of-arrays sweeps of :mod:`repro.core.interleaved` (Gloster
+    et al., PAPERS.md), where every per-``k`` elimination step touches
+    contiguous length-``nb`` vectors; ``gje`` and ``cholesky``, which
+    have no SoA realisation, run the AoS cores.
+``"numpy"``
+    The monolithic AoS reference: one vectorised kernel call on the
+    source batch at the source tile - the paper's kernels as written,
+    and the reference of every equivalence check.
 ``"scipy"``
     Per-block LAPACK (``getrf``/``getrs`` via SciPy): the external
     anchor.  No padding at all, so its reports show zero waste.  LU
     only; gated on SciPy being importable.
-``"threads"``
-    The binned execution with the per-bin kernel calls fanned out on a
-    ``concurrent.futures`` thread pool (NumPy releases the GIL inside
-    the heavy ufuncs, bins are independent).  Bitwise-identical
-    results to ``"binned"``.
-``"interleaved"``
-    The binned execution with every bin's kernel running on the
-    structure-of-arrays ``(tile, tile, nb)`` layout of
-    :mod:`repro.core.interleaved` (Gloster et al., PAPERS.md): each
-    per-``k`` elimination step touches contiguous length-``nb``
-    vectors instead of striding across matrices.  LU/TRSV results are
-    bitwise-identical to ``"binned"``; Gauss-Huard agrees to rounding
-    (its lazy-update einsum accumulates in a different order).
-    Supports ``lu``/``gh``/``ght`` (the ``gje`` and ``cholesky``
-    kernels have no interleaved realisation), and inverts via the
-    factors' AoS adapters.
+
+What is bitwise and what is held to a tolerance:
+
+* ``binned`` against ``numpy``: ``lu`` and ``cholesky`` solutions are
+  bitwise (the SoA LU/TRSV sweeps and the identity-padded AoS cores do
+  the same elementwise operations on the active entries at any tile).
+  ``gh``/``ght`` agree to rounding: the SoA lazy update sums in a
+  fixed order where the AoS core uses ``einsum``.  ``gje`` and every
+  explicit-inverse apply agree to rounding: the GEMV reduction runs
+  over a different length.
+* ``binned`` against itself: a block gets bit-identical ``info`` and
+  solutions whether it is factorized alone, in a sub-batch, or
+  coalesced into a larger batch - the scatter-back invariant of the
+  serving layer.  Explicit-inverse states (``gje``
+  factors and every ``apply_mode="inverse"`` inverse) are stored at the
+  bin's *nominal* tile, so their GEMV reduction length never depends on
+  which other blocks share the bin.
+* ``scipy`` against ``numpy``: rounding (1e-9 differential tolerance).
 
 Backends additionally advertise an ``invert`` capability
 (``supports_invert``): building explicit block inverses from an
 existing factorization state so the preconditioner apply becomes one
-batched GEMM/GEMV per bin (``apply_mode="inverse"``).  The NumPy-based
-backends support it; the per-block ``scipy`` anchor does not (its
-LAPACK handles stay opaque), and the executor falls back to the
-factorization apply path with a recorded event.
+batched GEMV per bin (``apply_mode="inverse"``).  The per-block
+``scipy`` anchor does not invert (its LAPACK handles stay opaque), and
+the executor falls back to the factorization apply path with a
+recorded event.
 
 Degradation (``on_singular``) is honoured by every backend with the
 same semantics as the kernels themselves: ``"raise"`` aborts with a
@@ -55,8 +61,8 @@ failed blocks and record a merged
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,7 +85,12 @@ from ..core.explicit_inverse import (
     inverse_apply,
     invert_factors,
 )
-from ..core.interleaved import interleaved_kernel_pair
+from ..core.interleaved import (
+    interleaved_gh_factor,
+    interleaved_gh_solve,
+    interleaved_lu_factor,
+    interleaved_lu_solve,
+)
 from ..telemetry.tracer import get_tracer
 from .planner import ExecutionPlan
 from .stats import BinStats
@@ -103,49 +114,108 @@ class BackendUnavailable(RuntimeError):
     """The requested backend cannot run in this environment."""
 
 
-#: state-method prefix marking an interleaved-layout factorization
-_INTERLEAVED_PREFIX = "interleaved:"
+#: (factor, solve) kernels of the AoS cores per method; ``factor`` is
+#: called as ``factor(batch, on_singular, overwrite)``
+AOS_KERNELS: dict[str, tuple[Callable, Callable]] = {
+    "lu": (
+        lambda b, pol, ow: lu_factor(
+            b, pivoting="implicit", overwrite=ow, on_singular=pol
+        ),
+        lu_solve,
+    ),
+    "gh": (
+        lambda b, pol, ow: gh_factor(b, overwrite=ow, on_singular=pol),
+        gh_solve,
+    ),
+    "ght": (
+        lambda b, pol, ow: gh_factor(
+            b, transposed=True, overwrite=ow, on_singular=pol
+        ),
+        gh_solve,
+    ),
+    "gje": (
+        lambda b, pol, ow: gj_invert(b, overwrite=ow, on_singular=pol),
+        gj_apply,
+    ),
+    "cholesky": (
+        lambda b, pol, ow: cholesky_factor(b, overwrite=ow, on_singular=pol),
+        cholesky_solve,
+    ),
+}
+
+#: the ``binned`` backend's kernel per method: the SoA sweeps where a
+#: realisation exists, the AoS cores otherwise
+BINNED_KERNELS: dict[str, tuple[Callable, Callable]] = {
+    **AOS_KERNELS,
+    "lu": (
+        lambda b, pol, ow: interleaved_lu_factor(
+            b, overwrite=ow, on_singular=pol
+        ),
+        interleaved_lu_solve,
+    ),
+    "gh": (
+        lambda b, pol, ow: interleaved_gh_factor(
+            b, overwrite=ow, on_singular=pol
+        ),
+        interleaved_gh_solve,
+    ),
+    "ght": (
+        lambda b, pol, ow: interleaved_gh_factor(
+            b, transposed=True, overwrite=ow, on_singular=pol
+        ),
+        interleaved_gh_solve,
+    ),
+}
 
 
-def _kernel_pair(method: str) -> tuple[Callable, Callable]:
-    """(factor, solve) kernel pair for a method name.
+def _kernels(table: dict, method: str) -> tuple[Callable, Callable]:
+    try:
+        return table[method]
+    except KeyError:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {METHODS}"
+        ) from None
 
-    Method names prefixed ``"interleaved:"`` (as stored in the
-    interleaved backend's state tuples) dispatch to the SoA kernels of
-    :mod:`repro.core.interleaved`; the shared binned machinery and the
-    apply-mode autotuner then work on interleaved states unchanged.
+
+def state_solve(state: tuple) -> Callable:
+    """The solve kernel of a ``numpy`` or ``binned`` factorization
+    state: ``(method, fac)`` or ``(method, [per-bin facs])``."""
+    method, fac = state
+    table = BINNED_KERNELS if isinstance(fac, list) else AOS_KERNELS
+    return _kernels(table, method)[1]
+
+
+def at_width(apply: Callable, state, rhs: BatchedVectors) -> BatchedVectors:
+    """``apply(state, rhs)`` for a state stored wider than ``rhs``.
+
+    The right-hand sides are zero-padded to the state's tile and the
+    solutions cut back to the rhs tile; equal tiles pass straight
+    through.
     """
-    if method.startswith(_INTERLEAVED_PREFIX):
-        return interleaved_kernel_pair(
-            method[len(_INTERLEAVED_PREFIX) :]
-        )
-    if method == "lu":
-        return (
-            lambda b, pol, ow: lu_factor(
-                b, pivoting="implicit", overwrite=ow, on_singular=pol
-            ),
-            lu_solve,
-        )
-    if method in ("gh", "ght"):
-        return (
-            lambda b, pol, ow, t=(method == "ght"): gh_factor(
-                b, transposed=t, overwrite=ow, on_singular=pol
-            ),
-            gh_solve,
-        )
-    if method == "gje":
-        return (
-            lambda b, pol, ow: gj_invert(b, overwrite=ow, on_singular=pol),
-            gj_apply,
-        )
-    if method == "cholesky":
-        return (
-            lambda b, pol, ow: cholesky_factor(
-                b, overwrite=ow, on_singular=pol
-            ),
-            cholesky_solve,
-        )
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    width, tile = state.tile, rhs.tile
+    if width == tile:
+        return apply(state, rhs)
+    x = np.zeros((rhs.nb, width), dtype=rhs.data.dtype)
+    x[:, :tile] = rhs.data
+    y = apply(state, BatchedVectors(x, rhs.sizes))
+    return BatchedVectors(y.data[:, :tile], rhs.sizes.copy())
+
+
+def _at_nominal(state, nominal: int):
+    """An explicit-inverse state identity-padded to the bin's nominal
+    tile, so its GEMV reduction length is the same for a block whether
+    it runs solo or coalesced (the tight tile depends on the bin's
+    other blocks)."""
+    inv = state.inverses
+    if inv.tile >= nominal:
+        return state
+    data = np.zeros((inv.nb, nominal, nominal), dtype=inv.data.dtype)
+    pad = np.arange(inv.tile, nominal)
+    data[:, pad, pad] = 1.0
+    data[:, : inv.tile, : inv.tile] = inv.data
+    return dataclasses.replace(
+        state, inverses=BatchedMatrices(data, inv.sizes)
+    )
 
 
 @dataclass
@@ -194,9 +264,9 @@ class Backend:
     #: whether this backend can build explicit inverses for the
     #: ``apply_mode="inverse"`` path (``invert``/``apply_inverse``)
     supports_invert: bool = False
-    #: factorization methods this backend can execute (method-restricted
-    #: backends - scipy, interleaved - narrow this and raise ValueError
-    #: on anything else)
+    #: factorization methods this backend can execute (a
+    #: method-restricted backend - scipy - narrows this and raises
+    #: ValueError on anything else)
     supported_methods: tuple = METHODS
 
     def factorize(
@@ -255,7 +325,7 @@ def register_backend(cls: type[Backend]) -> type[Backend]:
     return cls
 
 
-def get_backend(name: str, **options) -> Backend:
+def get_backend(name: str) -> Backend:
     """Instantiate a registered backend (raises on unknown/unavailable)."""
     try:
         cls = BACKENDS[name]
@@ -267,7 +337,7 @@ def get_backend(name: str, **options) -> Backend:
         raise BackendUnavailable(
             "the 'scipy' backend needs SciPy, which is not installed"
         )
-    return cls(**options)
+    return cls()
 
 
 def available_backends() -> list[str]:
@@ -283,64 +353,23 @@ def available_backends() -> list[str]:
 # -- shared binned machinery -------------------------------------------------
 
 
-def _merge_records(
-    plan: ExecutionPlan,
-    recs: list[DegradationRecord | None],
-    policy: str,
-) -> DegradationRecord | None:
-    """Scatter per-bin degradation records into one source-ordered one."""
-    if all(r is None for r in recs):
-        return None
-    nb = plan.nb
-    original_info = np.zeros(nb, dtype=np.int64)
-    action = np.zeros(nb, dtype=np.int8)
-    shift = np.zeros(nb, dtype=np.float64)
-    for b, rec in zip(plan.bins, recs):
-        if rec is None:  # pragma: no cover - kernels always record
-            continue
-        original_info[b.indices] = rec.original_info
-        action[b.indices] = rec.action
-        shift[b.indices] = rec.shift
-    return DegradationRecord(policy, original_info, action, shift)
-
-
-def _factor_bins(
+def merge_bin_status(
     plan: ExecutionPlan,
     method: str,
     on_singular: OnSingular | None,
-    run: Callable[[Callable[..., object], ExecutionPlan], list],
+    units: list,
+    state: object,
 ) -> BackendFactorization:
-    """Factorize every bin; ``run`` maps the kernel over the bins
-    (serially or on a pool).
+    """One source-ordered factorization from per-bin results.
 
-    The ``"raise"`` policy is evaluated on the *merged* status so the
-    error reports every singular block of the whole batch (bin-local
-    raising would only name the first offending bin).
+    ``units`` are the bins' results in plan order (anything with
+    ``info`` and ``degradation``).  The ``"raise"`` policy is evaluated
+    on the *merged* status so the error reports every singular block
+    of the whole batch (bin-local raising would only name the first
+    offending bin); the substitution policies scatter the per-bin
+    degradation records into one.
     """
-    factor, _ = _kernel_pair(method)
-    per_bin_policy = (
-        None if on_singular in (None, "raise") else on_singular
-    )
-
-    def bin_kernel(bin_plan):
-        return factor(bin_plan.batch, per_bin_policy, True)
-
-    tr = get_tracer()
-    if tr.enabled:
-        raw_kernel = bin_kernel
-
-        def bin_kernel(bin_plan):  # noqa: F811 - traced variant
-            with tr.span(
-                f"factorize.bin[tile={bin_plan.tile}]",
-                cat="runtime",
-                tile=bin_plan.tile,
-                nb=bin_plan.nb,
-                method=method,
-            ):
-                return raw_kernel(bin_plan)
-
-    facs = run(bin_kernel, plan)
-    info = plan.scatter_per_block([f.info for f in facs])
+    info = plan.scatter_per_block([u.info for u in units])
     if on_singular == "raise" and np.any(info):
         failed = np.nonzero(info)[0]
         raise SingularBlockError(
@@ -350,66 +379,51 @@ def _factor_bins(
             "gracefully instead of aborting",
             info,
         )
-    if on_singular is None:
-        record = None
-    elif on_singular == "raise":
-        # clean batch under "raise": the kernels record an all-clear
+    record = None
+    if on_singular is not None:
+        # a clean batch under "raise" records an all-clear
         record = DegradationRecord(
-            "raise",
+            on_singular,
             info.copy(),
             np.zeros(plan.nb, dtype=np.int8),
             np.zeros(plan.nb, dtype=np.float64),
         )
-    else:
-        record = _merge_records(
-            plan, [f.degradation for f in facs], on_singular
-        )
-        if record is None:
-            record = DegradationRecord(
-                on_singular,
-                info.copy(),
-                np.zeros(plan.nb, dtype=np.int8),
-                np.zeros(plan.nb, dtype=np.float64),
-            )
-    return BackendFactorization(
-        state=(method, facs), info=info, degradation=record
-    )
+        for b, u in zip(plan.bins, units):
+            if on_singular != "raise" and u.degradation is not None:
+                record.original_info[b.indices] = u.degradation.original_info
+                record.action[b.indices] = u.degradation.action
+                record.shift[b.indices] = u.degradation.shift
+    return BackendFactorization(state=state, info=info, degradation=record)
 
 
-def _solve_bins(
-    state: object, plan: ExecutionPlan, rhs: BatchedVectors
-) -> BatchedVectors:
-    method, facs = state
-    _, solve = _kernel_pair(method)
-    per_bin = plan.split_rhs(rhs)
-    return plan.merge_solutions(
-        [solve(f, r) for f, r in zip(facs, per_bin)]
-    )
-
-
-def _invert_bins(state: object) -> BackendInverse:
-    """Per-bin explicit inverses from a binned factorization state."""
-    _, facs = state
-    return BackendInverse(states=[invert_factors(f) for f in facs])
-
-
-def _apply_inverse_bins(
-    inv: BackendInverse,
-    state: object,
+def _factor_bins(
     plan: ExecutionPlan,
-    rhs: BatchedVectors,
-) -> BatchedVectors:
-    """Per-bin GEMV apply; bins with a disabled inverse (None entry)
-    run the factorization solve instead."""
-    method, facs = state
-    _, solve = _kernel_pair(method)
-    per_bin = plan.split_rhs(rhs)
-    return plan.merge_solutions(
-        [
-            inverse_apply(s, r) if s is not None else solve(f, r)
-            for s, f, r in zip(inv.states, facs, per_bin)
-        ]
+    method: str,
+    on_singular: OnSingular | None,
+) -> BackendFactorization:
+    """Factorize every bin with the method's ``BINNED_KERNELS`` entry."""
+    factor, _ = _kernels(BINNED_KERNELS, method)
+    per_bin_policy = (
+        None if on_singular in (None, "raise") else on_singular
     )
+    tr = get_tracer()
+    facs = []
+    for b in plan.bins:
+        if tr.enabled:
+            with tr.span(
+                f"factorize.bin[tile={b.tile}]",
+                cat="runtime",
+                tile=b.tile,
+                nb=b.nb,
+                method=method,
+            ):
+                fac = factor(b.batch, per_bin_policy, True)
+        else:
+            fac = factor(b.batch, per_bin_policy, True)
+        if method == "gje":  # its factors are inverses, applied by GEMV
+            fac = _at_nominal(fac, b.nominal_tile)
+        facs.append(fac)
+    return merge_bin_status(plan, method, on_singular, facs, (method, facs))
 
 
 def _binned_stats(plan: ExecutionPlan) -> list[BinStats]:
@@ -430,13 +444,13 @@ def _binned_stats(plan: ExecutionPlan) -> list[BinStats]:
 
 @register_backend
 class NumpyBackend(Backend):
-    """Monolithic vectorised execution at the source tile (legacy path)."""
+    """Monolithic AoS execution at the source tile (the reference)."""
 
     name = "numpy"
     supports_invert = True
 
     def factorize(self, plan, method="lu", on_singular=None):
-        factor, _ = _kernel_pair(method)
+        factor, _ = _kernels(AOS_KERNELS, method)
         fac = factor(plan.source, on_singular, False)
         return BackendFactorization(
             state=(method, fac),
@@ -445,9 +459,7 @@ class NumpyBackend(Backend):
         )
 
     def solve(self, state, plan, rhs):
-        method, fac = state
-        _, solve = _kernel_pair(method)
-        return solve(fac, rhs)
+        return state_solve(state)(state[1], rhs)
 
     def invert(self, state, plan):
         _, fac = state
@@ -481,124 +493,36 @@ class BinnedBackend(Backend):
     supports_invert = True
 
     def factorize(self, plan, method="lu", on_singular=None):
-        return _factor_bins(
-            plan,
-            method,
-            on_singular,
-            lambda kernel, p: [kernel(b) for b in p.bins],
-        )
+        return _factor_bins(plan, method, on_singular)
 
     def solve(self, state, plan, rhs):
-        return _solve_bins(state, plan, rhs)
-
-    def invert(self, state, plan):
-        return _invert_bins(state)
-
-    def apply_inverse(self, inv, state, plan, rhs):
-        return _apply_inverse_bins(inv, state, plan, rhs)
-
-    def bin_stats(self, plan):
-        return _binned_stats(plan)
-
-
-@register_backend
-class ThreadsBackend(Backend):
-    """Binned execution with bins fanned out over a thread pool."""
-
-    name = "threads"
-    supports_invert = True
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-
-    def _run(self, kernel, plan):
-        if len(plan.bins) <= 1:
-            return [kernel(b) for b in plan.bins]
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers or len(plan.bins)
-        ) as pool:
-            return list(pool.map(kernel, plan.bins))
-
-    def factorize(self, plan, method="lu", on_singular=None):
-        return _factor_bins(plan, method, on_singular, self._run)
-
-    def solve(self, state, plan, rhs):
-        method, facs = state
-        _, solve = _kernel_pair(method)
+        solve = state_solve(state)
         per_bin = plan.split_rhs(rhs)
-        if len(plan.bins) <= 1:
-            sols = [solve(f, r) for f, r in zip(facs, per_bin)]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=self.max_workers or len(plan.bins)
-            ) as pool:
-                sols = list(
-                    pool.map(lambda fr: solve(*fr), zip(facs, per_bin))
-                )
-        return plan.merge_solutions(sols)
-
-    def invert(self, state, plan):
-        _, facs = state
-        if len(facs) <= 1:
-            return _invert_bins(state)
-        # the 2m^3-flop inversion is the expensive half of the trade;
-        # fan it out like the factorization itself
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers or len(facs)
-        ) as pool:
-            return BackendInverse(
-                states=list(pool.map(invert_factors, facs))
-            )
-
-    def apply_inverse(self, inv, state, plan, rhs):
-        return _apply_inverse_bins(inv, state, plan, rhs)
-
-    def bin_stats(self, plan):
-        return _binned_stats(plan)
-
-
-@register_backend
-class InterleavedBackend(Backend):
-    """Per-bin execution on the structure-of-arrays layout.
-
-    Identical bin structure and merge semantics to ``binned`` - the
-    shared machinery handles splitting, ``info`` scatter, degradation
-    merging and telemetry spans - but every bin's factor/solve kernel
-    runs on the interleaved ``(tile, tile, nb)`` storage.  Explicit
-    inverses are built through the factors' ``to_aos()`` adapters, so
-    ``apply_mode="inverse"`` reuses the proven ``invert_factors`` path
-    (the inverse states themselves are layout-independent).
-    """
-
-    name = "interleaved"
-    supports_invert = True
-    #: methods with an interleaved kernel realisation
-    supported_methods = ("lu", "gh", "ght")
-
-    def factorize(self, plan, method="lu", on_singular=None):
-        if method not in self.supported_methods:
-            raise ValueError(
-                "the 'interleaved' backend supports methods "
-                f"{self.supported_methods}, got {method!r}"
-            )
-        return _factor_bins(
-            plan,
-            _INTERLEAVED_PREFIX + method,
-            on_singular,
-            lambda kernel, p: [kernel(b) for b in p.bins],
+        return plan.merge_solutions(
+            [at_width(solve, f, r) for f, r in zip(state[1], per_bin)]
         )
 
-    def solve(self, state, plan, rhs):
-        return _solve_bins(state, plan, rhs)
-
     def invert(self, state, plan):
-        _, facs = state
         return BackendInverse(
-            states=[invert_factors(f.to_aos()) for f in facs]
+            states=[
+                _at_nominal(invert_factors(f), b.nominal_tile)
+                for f, b in zip(state[1], plan.bins)
+            ]
         )
 
     def apply_inverse(self, inv, state, plan, rhs):
-        return _apply_inverse_bins(inv, state, plan, rhs)
+        """Per-bin GEMV apply; bins with a disabled inverse (None
+        entry) run the factorization solve instead."""
+        solve = state_solve(state)
+        per_bin = plan.split_rhs(rhs)
+        return plan.merge_solutions(
+            [
+                at_width(inverse_apply, s, r)
+                if s is not None
+                else at_width(solve, f, r)
+                for s, f, r in zip(inv.states, state[1], per_bin)
+            ]
+        )
 
     def bin_stats(self, plan):
         return _binned_stats(plan)

@@ -34,9 +34,9 @@ estimate) or an explicit ``nbytes=`` at :meth:`put`; valueless objects
 count as zero bytes.
 
 All operations are guarded by one :class:`threading.Lock`: a shared
-runtime is reachable from the ``threads`` backend's pool and from
-multiple request threads at once, and the ``OrderedDict`` reordering
-in ``get``/``put`` is not atomic on its own.  The clock is injectable
+runtime is reachable from multiple request threads at once (the
+serving layer's flush worker among them), and the ``OrderedDict``
+reordering in ``get``/``put`` is not atomic on its own.  The clock is injectable
 (monotonic seconds) so TTL tests can step time deterministically.
 """
 

@@ -52,8 +52,8 @@ from .backends import (
     BackendUnavailable,
     NumpyBackend,
     _binned_stats,
-    _merge_records,
     get_backend,
+    merge_bin_status,
 )
 from .autotune import tune_apply_mode
 from .cache import CacheStats, FactorizationCache, batch_fingerprint
@@ -289,8 +289,9 @@ class BatchRuntime:
     Parameters
     ----------
     backend:
-        Registered backend name (``"binned"`` - the default -,
-        ``"numpy"``, ``"scipy"``, ``"threads"``) or a ready
+        Registered backend name (``"binned"`` - the default, which
+        runs the SoA kernels for ``lu``/``gh``/``ght`` -, ``"numpy"``,
+        the monolithic AoS reference, or ``"scipy"``) or a ready
         :class:`~repro.runtime.backends.Backend` instance.
     bins:
         Nominal bin ladder for the planner (default: the warp-tile
@@ -851,41 +852,9 @@ class BatchRuntime:
                     errors=errors,
                 )
             )
-        info = plan.scatter_per_block([e.info for e in execs])
-        if on_singular == "raise" and np.any(info):
-            failed = np.nonzero(info)[0]
-            raise SingularBlockError(
-                f"{failed.size} block(s) failed the batched {method} "
-                f"factorization (first failing steps: "
-                f"info={info[failed][:8]}...); "
-                "pass on_singular='identity'|'scalar'|'shift' to degrade "
-                "gracefully instead of aborting",
-                info,
-            )
-        if on_singular is None:
-            record = None
-        elif on_singular == "raise":
-            record = DegradationRecord(
-                "raise",
-                info.copy(),
-                np.zeros(plan.nb, dtype=np.int8),
-                np.zeros(plan.nb, dtype=np.float64),
-            )
-        else:
-            record = _merge_records(
-                plan, [e.degradation for e in execs], on_singular
-            )
-            if record is None:
-                record = DegradationRecord(
-                    on_singular,
-                    info.copy(),
-                    np.zeros(plan.nb, dtype=np.int8),
-                    np.zeros(plan.nb, dtype=np.float64),
-                )
+        result = merge_bin_status(plan, method, on_singular, execs, execs)
         report.backend_used = f"{primary.name}+quarantine"
-        return BackendFactorization(
-            state=execs, info=info, degradation=record
-        )
+        return result
 
     def _validate_cached(
         self,

@@ -21,8 +21,8 @@ Design rules:
   :class:`contextvars.ContextVar` holding an immutable tuple, so
   parentage survives ``asyncio.to_thread`` (which copies the caller's
   context into the worker) and per-task isolation comes for free.
-  Raw ``threading.Thread`` workers start with an empty context, which
-  preserves the old per-thread isolation for the ``threads`` backend.
+  Raw ``threading.Thread`` workers start with an empty context, so
+  each keeps its own span stack.
 * **Span links** express causality that is not parentage: the serving
   layer's shared coalesced launch links to every merged per-request
   span (fan-in), and each scatter-back ``deliver`` span links back to

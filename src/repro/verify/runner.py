@@ -42,9 +42,9 @@ metrology of this package and aggregates structured pass/fail findings:
     excused).
 
 ``backends``
-    Every *available* runtime backend (binned, interleaved, threads,
-    scipy, ...) factorizes and solves the well-conditioned batches
-    through the executor and agrees with the ``numpy`` reference to
+    Every *available* runtime backend (binned, scipy, ...) factorizes
+    and solves the well-conditioned batches through the executor and
+    agrees with the ``numpy`` reference to
     ``diff_tol``, with bitwise-identical ``info`` - a newly registered
     backend enters this oracle automatically.
 

@@ -189,7 +189,7 @@ class TestScenarioSuite:
             "baseline",
             "factorize-raise-storm",
             "cache-poisoning",
-            "interleaved-sweep-quarantine",
+            "bin-fault-info-bitwise",
             "serving-tenant-isolation",
             "overload-storm",
         }

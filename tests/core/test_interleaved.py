@@ -7,8 +7,8 @@ included), padding preserved, and the degenerate shapes (empty batch,
 single matrix) handled.  The kernel parity tests then pin the contract
 the runtime backend relies on: LU factors/permutations/``info`` and the
 TRSV sweeps are *bitwise* equal to the AoS kernels, Gauss-Huard agrees
-to rounding (its lazy-update einsum may accumulate in a different
-order), and the degradation policies produce identical records.
+to rounding (its lazy update sums in a fixed order where the AoS core
+uses einsum), and the degradation policies produce identical records.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import interleaved
 from repro.core import (
     BatchedMatrices,
     aos_to_soa,
@@ -29,7 +30,6 @@ from repro.core import (
     lu_solve,
     soa_to_aos,
 )
-from repro.core.interleaved import interleaved_kernel_pair
 
 from tests.strategies import batch_shapes, make_batch, make_rhs, seeds
 
@@ -154,6 +154,24 @@ class TestLUParity:
         il = interleaved_lu_solve(interleaved_lu_factor(batch), rhs)
         np.testing.assert_array_equal(il.data, ref.data)
 
+    @pytest.mark.parametrize("by_block_nb", [0, 10**9])
+    @pytest.mark.parametrize("temp_elements", [1 << 19, 64])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_traversal_slabs_and_overwrite_keep_bits(
+        self, monkeypatch, by_block_nb, temp_elements, overwrite
+    ):
+        # the block-by-block GER, the slabbed GER/gather and factoring
+        # into the input's buffer only change how the same elementwise
+        # operations are laid out
+        monkeypatch.setattr(interleaved, "_BY_BLOCK_NB", by_block_nb)
+        monkeypatch.setattr(interleaved, "_TEMP_ELEMENTS", temp_elements)
+        batch = make_batch(12, 16, SEED, dominant=False)
+        ref = lu_factor(batch, pivoting="implicit")
+        il = interleaved_lu_factor(batch.copy(), overwrite=overwrite)
+        assert soa_to_aos(il.soa).tobytes() == ref.factors.data.tobytes()
+        np.testing.assert_array_equal(il.perm, ref.perm)
+        np.testing.assert_array_equal(il.info, ref.info)
+
     def test_singular_info_and_solve_refusal(self):
         batch = make_batch(6, 8, SEED, dominant=True)
         batch.data[2, : batch.sizes[2], : batch.sizes[2]] = 0.0
@@ -224,6 +242,16 @@ class TestGHParity:
             atol=1e-14,
         )
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_overwrite_keeps_bits(self, transposed):
+        batch = make_batch(12, 16, SEED, dominant=True)
+        ref = interleaved_gh_factor(batch, transposed=transposed)
+        il = interleaved_gh_factor(
+            batch.copy(), transposed=transposed, overwrite=True
+        )
+        assert il.soa.tobytes() == ref.soa.tobytes()
+        np.testing.assert_array_equal(il.colperm, ref.colperm)
+
     def test_degradation_policies_match_aos(self):
         batch = make_batch(9, 8, SEED, dominant=True)
         batch.data[3, : batch.sizes[3], : batch.sizes[3]] = 0.0
@@ -234,15 +262,3 @@ class TestGHParity:
             np.testing.assert_array_equal(
                 il.degradation.action, ref.degradation.action
             )
-
-
-class TestKernelPair:
-    def test_supported_methods(self):
-        for method in ("lu", "gh", "ght"):
-            factor, solve = interleaved_kernel_pair(method)
-            assert callable(factor) and callable(solve)
-
-    def test_unsupported_methods_rejected(self):
-        for method in ("gje", "cholesky", "qr"):
-            with pytest.raises(ValueError, match="interleaved"):
-                interleaved_kernel_pair(method)

@@ -2,7 +2,8 @@
 
 The contract: switching the preconditioner onto any runtime backend
 must not change what it computes - only how (binned dispatch, caching,
-instrumentation).  The legacy direct-kernel path stays the reference.
+instrumentation).  The monolithic ``numpy`` backend - the paper's
+kernels as written - stays the reference ("legacy" below).
 """
 
 import numpy as np
@@ -38,7 +39,9 @@ class TestBackendEquivalence:
 
         if method not in BACKENDS[backend].supported_methods:
             pytest.skip(f"{backend} backend does not support {method}")
-        legacy = BlockJacobiPreconditioner(method, 16).setup(fem)
+        legacy = BlockJacobiPreconditioner(
+            method, 16, backend="numpy"
+        ).setup(fem)
         routed = BlockJacobiPreconditioner(
             method, 16, backend=backend
         ).setup(fem)
@@ -56,10 +59,15 @@ class TestBackendEquivalence:
         assert M.report.runtime is rt
         assert "runtime[binned]" in M.report.summary()
 
-    def test_legacy_path_records_no_runtime_report(self, fem):
+    def test_default_runs_the_binned_runtime(self, fem):
         M = BlockJacobiPreconditioner("lu", 16).setup(fem)
-        assert M.runtime_report is None
-        assert M.report.runtime is None
+        assert M.runtime_report.backend == "binned"
+        assert M.report.runtime is M.runtime_report
+        binned = BlockJacobiPreconditioner(
+            "lu", 16, backend="binned"
+        ).setup(fem)
+        x = np.linspace(-1, 1, fem.n_rows)
+        np.testing.assert_array_equal(M.apply(x), binned.apply(x))
 
     def test_conflicting_runtime_and_backend_rejected(self):
         rt = BatchRuntime(backend="numpy")
@@ -84,7 +92,9 @@ class TestRuntimeCaching:
         assert rt.last_report.cache_hit is True
         assert rt.cache_stats.hits == 1
         # the cached factors still answer applies correctly
-        legacy = BlockJacobiPreconditioner("lu", 16).setup(fem)
+        legacy = BlockJacobiPreconditioner(
+            "lu", 16, backend="numpy"
+        ).setup(fem)
         x = np.arange(float(fem.n_rows))
         np.testing.assert_allclose(
             M2.apply(x), legacy.apply(x), rtol=1e-12, atol=1e-14
@@ -102,7 +112,7 @@ class TestRuntimeDegradation:
     def test_identity_policy_matches_legacy(self, backend):
         A = _singular_matrix()
         legacy = BlockJacobiPreconditioner(
-            "lu", 2, on_singular="identity"
+            "lu", 2, on_singular="identity", backend="numpy"
         ).setup(A)
         routed = BlockJacobiPreconditioner(
             "lu", 2, on_singular="identity", backend=backend
@@ -135,7 +145,9 @@ class TestRuntimeDegradation:
         assert routed.report.cholesky_lu_fallback
         assert routed.report.effective_method == "lu"
         with pytest.warns(UserWarning, match="not SPD"):
-            legacy = BlockJacobiPreconditioner("cholesky", 4).setup(A)
+            legacy = BlockJacobiPreconditioner(
+                "cholesky", 4, backend="numpy"
+            ).setup(A)
         x = np.linspace(1, 2, A.n_rows)
         np.testing.assert_allclose(routed.apply(x), legacy.apply(x))
 

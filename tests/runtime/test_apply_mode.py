@@ -16,7 +16,7 @@ from tests.strategies import make_batch, make_rhs
 
 SEED = 7
 
-INVERTING_BACKENDS = ("numpy", "binned", "threads", "interleaved")
+INVERTING_BACKENDS = ("numpy", "binned")
 
 
 def _reference(batch, rhs, **kw):
@@ -240,7 +240,7 @@ class TestDeterministicAutotune:
         assert inverse.states[0] is None
         assert tuning.break_even_applies == float("inf")
 
-    @pytest.mark.parametrize("backend", ["binned", "interleaved"])
+    @pytest.mark.parametrize("backend", ["binned", "numpy"])
     def test_verdict_is_reproducible_across_backends(self, backend):
         from repro.runtime.autotune import tune_apply_mode
 

@@ -10,8 +10,7 @@ suite is parameterized over the registry.
 
 The coverage guard (:class:`TestContractCoverage`) closes the loop:
 registering a new backend without declaring its contract row fails the
-suite, which is how this harness gates future backends (the
-``interleaved`` backend landed through it).
+suite, which is how this harness gates future backends.
 
 Run standalone with ``pytest -m conformance``.
 """
@@ -20,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.batch import BatchedMatrices, BatchedVectors
 from repro.core.batched_lu import lu_factor
 from repro.core.degradation import SingularBlockError
 from repro.core.random_batches import random_batch, random_rhs
@@ -50,46 +52,49 @@ class BackendContract:
     remaining methods must agree within ``tol`` (componentwise relative
     solution distance).  ``invert``: whether ``apply_mode="inverse"``
     runs natively (False demotes to the factor path with a recorded
-    ``backend_no_invert`` event).
+    ``backend_no_invert`` event).  ``subbatch_bitwise``: whether a
+    block's ``info`` and solution are bit-identical whether it is
+    solved in a sub-batch or inside a larger batch, for every method
+    in both apply modes - the scatter-back invariant coalesced serving
+    relies on.
     """
 
     methods: tuple
     exact_methods: tuple
     tol: float
     invert: bool
+    subbatch_bitwise: bool
 
 
 #: the conformance contract, one row per registered backend.  A new
 #: backend MUST add its row here - TestContractCoverage fails otherwise.
 CONTRACT = {
     "numpy": BackendContract(
-        methods=METHODS, exact_methods=METHODS, tol=0.0, invert=True
+        methods=METHODS,
+        exact_methods=METHODS,
+        tol=0.0,
+        invert=True,
+        # the monolithic GEMV reduces over the source tile, which
+        # follows the batch's largest block
+        subbatch_bitwise=False,
     ),
     "binned": BackendContract(
         methods=METHODS,
-        # gje applies an inverse-matvec whose summation length follows
-        # the executed tile, so it differs from the monolithic path by
-        # rounding; every factor/solve method is bitwise.
-        exact_methods=("lu", "gh", "ght", "cholesky"),
+        # SoA LU/TRSV and the AoS Cholesky are elementwise -> bitwise;
+        # the SoA Gauss-Huard sums in a fixed order where the AoS core
+        # uses einsum, and gje's inverse-matvec reduces over the bin's
+        # nominal tile -> rounding
+        exact_methods=("lu", "cholesky"),
         tol=1e-12,
         invert=True,
-    ),
-    "threads": BackendContract(
-        methods=METHODS,
-        exact_methods=("lu", "gh", "ght", "cholesky"),
-        tol=1e-12,
-        invert=True,
+        subbatch_bitwise=True,
     ),
     "scipy": BackendContract(
-        methods=("lu",), exact_methods=(), tol=1e-9, invert=False
-    ),
-    "interleaved": BackendContract(
-        methods=("lu", "gh", "ght"),
-        # LU/TRSV are elementwise in both layouts -> bitwise; the GH
-        # lazy-update/solve einsums accumulate in SoA order -> rounding
-        exact_methods=("lu",),
-        tol=1e-12,
-        invert=True,
+        methods=("lu",),
+        exact_methods=(),
+        tol=1e-9,
+        invert=False,
+        subbatch_bitwise=True,
     ),
 }
 
@@ -342,3 +347,46 @@ class TestSupportsInvert:
         np.testing.assert_allclose(
             fac.solve(rhs).data, ref.data, rtol=1e-9, atol=1e-12
         )
+
+
+class TestSubBatchBitwise:
+    """A block solved in a random sub-batch (repacked at its own tight
+    tile, as a tenant's request is) matches the same block solved
+    inside the larger batch bit for bit: ``info`` and solution."""
+
+    @pytest.mark.parametrize("mode", ["factor", "inverse"])
+    @pytest.mark.parametrize(
+        "name,method",
+        [
+            (name, method)
+            for name, c in sorted(CONTRACT.items())
+            if c.subbatch_bitwise
+            for method in c.methods
+        ],
+    )
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=8, deadline=None)
+    def test_sub_batch_matches_full_batch(self, name, method, mode, seed):
+        _skip_unavailable(name)
+        kind = "spd" if method == "cholesky" else "diag_dominant"
+        batch = random_batch(48, size_range=(1, 32), kind=kind, seed=seed)
+        rhs = random_rhs(batch, seed=seed + 1)
+        rng = np.random.default_rng(seed)
+        idx = np.sort(
+            rng.choice(batch.nb, size=rng.integers(1, batch.nb),
+                       replace=False)
+        )
+        t = int(batch.sizes[idx].max())
+        sub = BatchedMatrices(batch.data[idx, :t, :t], batch.sizes[idx])
+        sub_rhs = BatchedVectors(rhs.data[idx, :t], batch.sizes[idx])
+
+        def solve(b, r):
+            fac = BatchRuntime(backend=name, cache=False).factorize(
+                b, method=method, apply_mode=mode
+            )
+            return fac.info, fac.solve(r).data
+
+        info, sol = solve(batch, rhs)
+        sub_info, sub_sol = solve(sub, sub_rhs)
+        np.testing.assert_array_equal(sub_info, info[idx])
+        assert sub_sol.tobytes() == sol[idx, :t].tobytes()

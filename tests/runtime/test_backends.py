@@ -51,13 +51,12 @@ class TestBitwiseProperty:
 
 class TestRegistry:
     def test_known_backends_registered(self):
-        for name in ("numpy", "binned", "threads", "scipy",
-                     "interleaved"):
+        for name in ("numpy", "binned", "scipy"):
             assert name in BACKENDS
 
     def test_available_excludes_only_missing_deps(self):
         avail = available_backends()
-        assert {"numpy", "binned", "threads", "interleaved"} <= set(avail)
+        assert {"numpy", "binned"} <= set(avail)
         assert avail == sorted(avail)
 
     def test_get_backend_rejects_unknown(self):
@@ -88,10 +87,24 @@ class TestRegistry:
         with pytest.raises(ValueError, match="method='lu' only"):
             get_backend("scipy").factorize(plan_batch(batch), method="gh")
 
-    def test_interleaved_backend_rejects_unsupported_methods(self):
-        batch = random_batch(4, size=4, kind="diag_dominant", seed=0)
-        plan = plan_batch(batch)
-        backend = get_backend("interleaved")
-        for method in ("gje", "cholesky"):
-            with pytest.raises(ValueError, match="interleaved"):
-                backend.factorize(plan, method=method)
+    def test_binned_layout_follows_the_method(self):
+        # one kernel table: the SoA sweeps where a realisation exists,
+        # the AoS cores for gje/cholesky
+        batch = random_batch(6, size=4, kind="spd", seed=0)
+        layouts = {}
+        for method in ("lu", "gh", "ght", "gje", "cholesky"):
+            fac = get_backend("binned").factorize(
+                plan_batch(batch), method=method
+            )
+            _, facs = fac.state
+            layouts[method] = hasattr(facs[0], "soa")
+        assert layouts == {
+            "lu": True, "gh": True, "ght": True,
+            "gje": False, "cholesky": False,
+        }
+
+    def test_unknown_method_rejected(self):
+        plan = plan_batch(random_batch(4, size=4, seed=0))
+        for name in ("numpy", "binned"):
+            with pytest.raises(ValueError, match="unknown method"):
+                get_backend(name).factorize(plan, method="qr")

@@ -266,7 +266,7 @@ class TestSpotCheck:
         plan = batch_plan(batch)
         res = backend.factorize(plan, "lu", None)
         method, facs = res.state
-        facs[0].factors.data[0, 0, 0] = np.nan
+        facs[0].soa[0, 0, 0] = np.nan  # binned LU runs the SoA layout
         bad = spot_check_factorization(backend, res.state, plan, res.info)
         assert bad.any()
 
@@ -365,7 +365,7 @@ class TestSolveResilience:
         expected = ref.solve(rhs).data
         # corrupt the stored factors after the (validated) creation
         method, facs = fac.result.state
-        facs[0].factors.data[:, :, :] = np.nan
+        facs[0].soa[:, :, :] = np.nan  # binned LU runs the SoA layout
         out = fac.solve(rhs)
         np.testing.assert_allclose(out.data, expected)
         assert fac.report.solve_fallbacks == 1
