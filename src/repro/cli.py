@@ -15,27 +15,11 @@ Gives downstream users the paper's workflows without writing code:
     Run the differential verification suite (cross-kernel oracles,
     backward-error metrology, adversarial batches, SIMT replay) and
     exit nonzero on any violation.
-``python -m repro bench --quick``
-    Sweep the runtime backends (binned/numpy/scipy) over the
-    SIZE/BATCH axes, cross-check them against each other, and write
-    ``BENCH_runtime.json``; exits nonzero on backend divergence.
 ``python -m repro solve fem_b4_s0 --trace out.trace.json --metrics``
-    Any of ``solve``/``verify``/``bench`` accepts ``--trace PATH``
-    (record a hierarchical span trace, written as Chrome/Perfetto
-    trace-event JSON) and ``--metrics`` (print the metrics-registry
-    snapshot after the run).
-``python -m repro serve-bench --quick``
-    Benchmark the preconditioner-as-a-service layer: identical
-    synthetic multi-tenant traffic served naively, coalesced, and
-    coalesced+cached, with a solo-rerun leak audit; exits nonzero if
-    coalescing does not amortize (ratio <= 1) or any cross-tenant
-    leak is detected.
-``python -m repro serve-bench --slo``
-    SLO burn-rate / flight-recorder bench: a scripted overload must
-    fire exactly one multi-window burn alert and dump exactly one
-    black box (from which an admitted request's causal chain is
-    reconstructed), and fully-enabled observability must stay within
-    5% of the disabled path on identical traffic.
+    ``solve`` and ``verify`` accept ``--trace PATH`` (record a
+    hierarchical span trace, written as Chrome/Perfetto trace-event
+    JSON) and ``--metrics`` (print the metrics-registry snapshot after
+    the run).
 ``python -m repro obs-report blackbox.json [--chain TRACE_ID]``
     Inspect a flight-recorder dump: event counts by kind, the
     triggering alert, and reconstructed per-request causal chains
@@ -279,86 +263,6 @@ def _run_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args) -> int:
-    return _with_telemetry(args, lambda: _run_bench(args))
-
-
-def _default_bench_out() -> str:
-    """Repo-root ``BENCH_runtime.json``: walk up from the CWD to the
-    nearest ``pyproject.toml`` so the CLI and the benchmark harness
-    write the same file regardless of the invocation directory."""
-    from pathlib import Path
-
-    cwd = Path.cwd()
-    for p in (cwd, *cwd.parents):
-        if (p / "pyproject.toml").exists():
-            return str(p / "BENCH_runtime.json")
-    return str(cwd / "BENCH_runtime.json")
-
-
-def _run_bench(args) -> int:
-    import json
-
-    from .bench.runtime_sweep import format_sweep_summary, run_backend_sweep
-
-    backends = (
-        [b.strip() for b in args.backends.split(",") if b.strip()]
-        if args.backends
-        else None
-    )
-    report = run_backend_sweep(
-        backends=backends, quick=args.quick, seed=args.seed, tol=args.tol
-    )
-    out = args.out or _default_bench_out()
-    payload = json.dumps(report, indent=2)
-    if out == "-":
-        print(payload)
-    else:
-        with open(out, "w") as fh:
-            fh.write(payload + "\n")
-        print(format_sweep_summary(report))
-        print(f"report written to {out}")
-    return 0 if report["passed"] else 1
-
-
-def _cmd_serve_bench(args) -> int:
-    return _with_telemetry(args, lambda: _run_serve_bench(args))
-
-
-def _run_serve_bench(args) -> int:
-    import json
-
-    from .bench.serving_load import (
-        format_overload_summary,
-        format_serving_summary,
-        format_slo_summary,
-        run_overload_bench,
-        run_serving_bench,
-        run_slo_bench,
-    )
-
-    if args.slo:
-        report = run_slo_bench(quick=args.quick, seed=args.seed)
-        fmt = format_slo_summary
-    elif args.overload:
-        report = run_overload_bench(quick=args.quick, seed=args.seed)
-        fmt = format_overload_summary
-    else:
-        report = run_serving_bench(quick=args.quick, seed=args.seed)
-        fmt = format_serving_summary
-    if args.json:
-        payload = json.dumps(report, indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
-            print(f"report written to {args.json}")
-    if args.json != "-":
-        print(fmt(report))
-    return 0 if report["passed"] else 1
-
-
 def _cmd_trace_summary(args) -> int:
     from .telemetry import (
         format_trace_summary,
@@ -508,52 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "exit 1 on any silent-corruption escape")
     _add_telemetry_args(pf)
     pf.set_defaults(fn=_cmd_verify)
-
-    pbn = sub.add_parser(
-        "bench",
-        help="runtime backend sweep + cross-check (exit 1 on divergence)",
-    )
-    pbn.add_argument("--quick", action="store_true",
-                     help="trimmed sweep for CI smoke gates")
-    pbn.add_argument("--backends",
-                     help="comma-separated backend names "
-                     "(default: all available)")
-    pbn.add_argument("--out", default=None,
-                     help="output JSON path ('-' for stdout; default: "
-                     "BENCH_runtime.json at the repo root)")
-    pbn.add_argument("--seed", type=int, default=0)
-    pbn.add_argument("--tol", type=float, default=1e-9,
-                     help="cross-check divergence tolerance")
-    _add_telemetry_args(pbn)
-    pbn.set_defaults(fn=_cmd_bench)
-
-    psb = sub.add_parser(
-        "serve-bench",
-        help="serving-layer load benchmark: naive vs coalesced vs "
-        "coalesced+cached over identical multi-tenant traffic "
-        "(exit 1 on ratio <= 1 or any cross-tenant leak)",
-    )
-    psb.add_argument("--quick", action="store_true",
-                     help="trimmed workload for CI smoke gates")
-    psb.add_argument("--overload", action="store_true",
-                     help="run the deadline-aware overload sweep "
-                     "instead: FIFO baseline vs EDF+quota goodput and "
-                     "admitted-latency curves (exit 1 unless EDF "
-                     "delivers nothing past deadline and holds the "
-                     "SLO at >= 2x the first FIFO-violating load)")
-    psb.add_argument("--slo", action="store_true",
-                     help="run the SLO burn-rate / flight-recorder "
-                     "bench instead: a scripted overload must produce "
-                     "exactly one burn alert and one black-box dump "
-                     "(with a reconstructable causal chain), and the "
-                     "fully-enabled observability path must stay "
-                     "within 5%% of the disabled path")
-    psb.add_argument("--seed", type=int, default=0)
-    psb.add_argument("--json", metavar="PATH",
-                     help="write the JSON report to PATH "
-                     "('-' for stdout)")
-    _add_telemetry_args(psb)
-    psb.set_defaults(fn=_cmd_serve_bench)
 
     pts = sub.add_parser(
         "trace-summary",

@@ -221,8 +221,9 @@ def inverse_apply_counts(m: int, es: int) -> KernelStats:
     This kind has no warp realisation in :mod:`repro.gpu.warp_lu` (the
     NumPy runtime executes it as one einsum per bin), so unlike the
     factor/solve kinds it is priced from this closed form directly
-    rather than replay-verified; the runtime-level benchmark
-    (``BENCH_runtime.json``) is its measured counterpart.
+    rather than replay-verified; its measured counterpart is the
+    runtime's inverse apply (``tests/runtime/test_apply_mode.py``
+    times it against the TRSV apply).
     """
     s = KernelStats()
     sol_tx = contiguous_sectors(0, m, es)
@@ -266,9 +267,9 @@ def interleaved_lu_factor_counts(
     Like ``inverse_apply``, this kind has no warp realisation in
     :mod:`repro.gpu.warp_lu` (the NumPy runtime realises the layout in
     :mod:`repro.core.interleaved`), so it is priced from this closed
-    form directly rather than replay-verified; the
-    ``soa_vs_aos`` block of ``BENCH_runtime.json`` is its
-    measured counterpart.
+    form directly rather than replay-verified; its measured
+    counterpart is the ``binned`` backend's factor stage, which runs
+    those SoA kernels.
     """
     s = KernelStats()
     loads = 0

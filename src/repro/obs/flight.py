@@ -17,8 +17,8 @@ metrics snapshot.  Triggers:
   ``on_alert``),
 * the engine's late-delivery audit,
 * a chaos-judged failure,
-* ``SIGUSR2`` (:func:`install_signal_handler`) or the ``obs-report``
-  / ``serve-bench --slo`` CLI paths.
+* ``SIGUSR2`` (:func:`install_signal_handler`) or an explicit
+  :meth:`dump` call.
 
 One process-global recorder (:func:`get_flight_recorder`), mirroring
 the tracer/metrics pattern, so deep layers can record without new

@@ -20,7 +20,7 @@ callbacks - the flight recorder hooks one to dump its black box the
 moment an SLO starts burning.
 
 Everything is clock-injected (:class:`repro.clock.ScriptedClock` in
-tests and the deterministic bench) - no hidden ``time.time()``.
+tests) - no hidden ``time.time()``.
 """
 
 from __future__ import annotations

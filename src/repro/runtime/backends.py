@@ -3,7 +3,7 @@
 Every backend satisfies one protocol - ``factorize(plan, method,
 on_singular)`` returning an opaque factorization state, and
 ``solve(state, plan, rhs)`` returning the solutions in the source block
-order - so the executor, the preconditioner, and the bench harness can
+order - so the executor, the preconditioner, and the conformance tests can
 swap them freely, and the differential oracles in :mod:`repro.verify`
 can cross-check them against each other:
 

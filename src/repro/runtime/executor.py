@@ -2,7 +2,7 @@
 
 :class:`BatchRuntime` is the execution subsystem between the batched
 kernels and everything that calls them (the block-Jacobi
-preconditioner, the CLI, the bench harness).  One ``factorize`` call:
+preconditioner, the CLI, the serving engine).  One ``factorize`` call:
 
 1. fingerprints the batch (when caching is on) and returns the cached
    handle on a hit - the serving scenario where the same matrix is set

@@ -6,8 +6,8 @@ one :class:`RuntimeReport`: which backend ran, how long each stage took
 how the batch was binned, how many flops the binned execution charged
 versus the useful work and versus the monolithic single-tile loop, and
 whether the factorization cache answered.  The report is the layer the
-acceptance checks and the ``repro bench`` harness read - nothing in the
-numerical path depends on it.
+acceptance checks and the preconditioner's ``SetupReport`` read -
+nothing in the numerical path depends on it.
 """
 
 from __future__ import annotations

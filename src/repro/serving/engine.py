@@ -14,7 +14,7 @@ the cross-request form of the paper's launch amortization.
 The engine is deliberately synchronous and clock-injected: every
 admission decision, flush boundary, and TTL interaction is
 reproducible under a scripted clock, which is what the serving tests
-and the deterministic load benchmark build on.  The asyncio service in
+and the scripted load and overload gates build on.  The asyncio service in
 :mod:`repro.serving.service` adds concurrency *around* this core
 without adding nondeterminism *inside* it.
 
@@ -126,7 +126,7 @@ class CoalescingEngine:
         with deadline shedding and the scatter-back delivery audit;
         ``"fifo"`` is the legacy admission-order baseline that ignores
         deadlines entirely - the collapsing comparator in the overload
-        benchmark.
+        gate test.
     overload:
         Optional :class:`~repro.serving.overload.OverloadController`
         consulted at admission (quotas, CoDel shedding) and after

@@ -6,18 +6,19 @@ block-Jacobi preconditioner service (many small independent systems,
 heavy repetition when time-steppers resolve the same matrix).  Every
 choice is driven by one seeded generator and time comes from a
 :class:`~repro.clock.ScriptedClock`, so a load run is a pure function
-of its profile: the benchmark and the tests replay identical traffic
+of its profile: the benchmarks and the tests replay identical traffic
 on every host.
 
 Two load shapes live here:
 
 * :func:`generate_load` - the *open-loop* wave generator of the
-  coalescing benchmark: requests arrive on a schedule regardless of
-  how the service responds.
+  coalescing tests and the e2e serving workloads: requests arrive on
+  a schedule regardless of how the service responds.
 * :class:`ClosedLoopClient` - the *closed-loop* tenant of the overload
-  benchmark: one outstanding job at a time, exponential backoff with
-  seeded jitter on rejection, ``Retry-After``-style hints honored, and
-  optional hedged duplicates when a response lingers.  Closed loops
+  gate and the chaos suite's overload scenario: one outstanding job at
+  a time, exponential backoff with seeded jitter on rejection,
+  ``Retry-After``-style hints honored, and optional hedged duplicates
+  when a response lingers.  Closed loops
   are what make overload experiments honest - a shed client backs
   off instead of hammering the queue, so goodput reflects the
   admission policy, not the generator.

@@ -4,8 +4,8 @@ Complements the span tracer with *aggregates*: cache hits and misses,
 fallback and quarantine events, watchdog audits and restarts, per-stage
 latency distributions, padding-waste ratios.  Two export shapes:
 
-* :meth:`MetricsRegistry.snapshot` - a plain nested dict (embedded
-  into ``BENCH_runtime.json`` and printed by ``--metrics``);
+* :meth:`MetricsRegistry.snapshot` - a plain nested dict (printed
+  by ``--metrics`` and embedded in flight-recorder dumps);
 * :meth:`MetricsRegistry.prometheus_text` - the Prometheus text
   exposition format, so a serving deployment can scrape the process.
 

@@ -3,8 +3,8 @@
 The contract of the telemetry layer is that the *disabled* path is
 free: with the null tracer installed, the numerical hot loops must run
 at the speed of the pre-instrumentation code.  This harness measures
-exactly that contract on the bench smoke case: it times the runtime
-factorize+solve workload (a) as shipped - stage hooks consulting the
+exactly that contract on a small runtime workload: it times the
+factorize+solve path (a) as shipped - stage hooks consulting the
 (null) tracer - and (b) with the stage hooks swapped for the bare
 pre-refactor accumulator, interleaved to cancel thermal/cache drift,
 and reports the median relative overhead.
@@ -69,7 +69,7 @@ def measure_disabled_overhead(
     """Measure the hook overhead of the disabled telemetry path.
 
     Runs ``repeats`` interleaved (instrumented, bare) pairs of the
-    bench smoke workload - one binned factorization of a mixed-size
+    measured workload - one binned factorization of a mixed-size
     batch plus ``solves`` batched solves - and compares medians.
 
     Returns a dict with ``instrumented_seconds``, ``bare_seconds``

@@ -2,7 +2,7 @@
 
 ``json.dumps`` chokes on ``np.int64``/``np.float64`` scalars and on
 arrays, and the reports in this package (``RuntimeReport``,
-``SetupReport``, chaos verdicts, bench sweeps) are assembled from NumPy
+``SetupReport``, chaos verdicts, verification reports) are assembled from NumPy
 results.  :func:`to_native` is the single choke point: every
 ``to_dict()`` serializer routes through it, and a round-trip test pins
 the guarantee.

@@ -2,14 +2,19 @@
 black box from which one admitted request's full causal chain -
 admission -> queue -> coalesced launch (via span link) ->
 scatter-back -> delivery (or shed) - is reconstructed
-programmatically."""
+programmatically.  A scripted healthy/overload/recovery scenario must
+fire exactly one burn alert and dump exactly one black box, and the
+fully enabled observability path must cost under 5%."""
 
+import contextlib
 import json
+import time
 
 import numpy as np
 
 from repro.chaos import ChaosBackend, RaiseInjector
 from repro.clock import ScriptedClock
+from repro.core.random_batches import random_batch, random_rhs
 from repro.obs import (
     FlightRecorder,
     SLOEngine,
@@ -21,7 +26,12 @@ from repro.obs import (
 )
 from repro.runtime import BatchRuntime
 from repro.runtime.backends import get_backend
-from repro.serving import CoalescingEngine, Request
+from repro.serving import (
+    CoalescingEngine,
+    LoadProfile,
+    Request,
+    generate_load,
+)
 from repro.telemetry import tracing
 from tests.strategies import make_batch, make_rhs
 
@@ -183,3 +193,129 @@ class TestCausalChainReconstruction:
         np.testing.assert_allclose(
             dump["flight_recorder"]["horizon"], 30.0
         )
+
+
+def _slo_request(tenant, seed):
+    batch = random_batch(
+        2, size_range=(8, 24), kind="diag_dominant", seed=seed
+    )
+    return Request(
+        tenant=tenant,
+        batch=batch,
+        kind="solve",
+        rhs=random_rhs(batch, seed=seed + 1),
+    )
+
+
+class TestBurnAlertGate:
+    """Healthy -> overload -> recovery under one scripted clock: the
+    overload phase holds every queued request past the 50 ms bound,
+    so ``admitted_latency`` burns on both windows and fires exactly
+    once; the attached recorder dumps exactly one black box."""
+
+    WAVE = 4
+    #: (phase, ticks, scripted queue wait per tick)
+    PHASES = (
+        ("healthy", 8, 0.01),
+        ("overload", 6, 0.2),
+        ("recovery", 10, 0.01),
+    )
+
+    def test_one_alert_one_dump_and_a_complete_chain(self):
+        clock = ScriptedClock()
+        slo = SLOEngine(
+            default_serving_slos(
+                latency_threshold=0.05,
+                fast_window=1.0,
+                slow_window=3.0,
+                min_events=8,
+            ),
+            clock=clock,
+        )
+        flight = FlightRecorder(capacity=2048, horizon=60.0, clock=clock)
+        flight.attach_slo(slo)
+        engine = CoalescingEngine(
+            runtime=BatchRuntime(cache=False),
+            clock=clock,
+            slo=slo,
+            flight=flight,
+        )
+        rng = np.random.default_rng(0)
+        alerts_after_healthy = None
+        with tracing():
+            for name, ticks, wait in self.PHASES:
+                for tick in range(ticks):
+                    for i in range(self.WAVE):
+                        engine.submit(
+                            _slo_request(
+                                f"tenant-{(tick * self.WAVE + i) % 16:02d}",
+                                int(rng.integers(2**31)),
+                            )
+                        )
+                    clock.advance(wait)
+                    engine.flush()
+                    if name == "recovery":
+                        # idle time between prompt flushes ages the
+                        # overload samples out of the slow window
+                        clock.advance(0.5)
+                        engine.flush()
+                if name == "healthy":
+                    alerts_after_healthy = len(slo.alerts)
+        firing = [a for a in slo.alerts if a["state"] == "firing"]
+        resolved = [a for a in slo.alerts if a["state"] == "resolved"]
+        assert alerts_after_healthy == 0
+        assert len(firing) == 1
+        assert sorted({a["slo"] for a in firing}) == ["admitted_latency"]
+        assert len(resolved) == 1
+        assert len(flight.dumps) == 1
+        dump = flight.dumps[0]
+        chains = [reconstruct_chain(dump, t) for t in trace_ids_in_dump(dump)]
+        assert any(
+            c["complete"] and c["outcome"] == "delivered" for c in chains
+        )
+
+    def test_enabled_observability_overhead_under_five_percent(self):
+        # identical coalesced traffic with tracing + SLO engine +
+        # flight recorder fully on vs fully off, in back-to-back
+        # pairs; the best pairwise ratio cancels machine-load drift
+        profile = LoadProfile(
+            tenants=64,
+            waves=3,
+            requests_per_wave=24,
+            blocks_min=8,
+            blocks_max=16,
+            size_min=16,
+            size_max=32,
+            repeat_fraction=0.0,
+            seed=0,
+        )
+        waves = generate_load(profile)
+
+        def run_once(obs_on):
+            clock = ScriptedClock()
+            slo = flight = None
+            if obs_on:
+                slo = SLOEngine(
+                    default_serving_slos(latency_threshold=0.05),
+                    clock=clock,
+                )
+                flight = FlightRecorder(capacity=4096, clock=clock)
+                flight.attach_slo(slo)
+            engine = CoalescingEngine(
+                runtime=BatchRuntime(cache=False),
+                clock=clock,
+                slo=slo,
+                flight=flight,
+            )
+            with tracing() if obs_on else contextlib.nullcontext():
+                t0 = time.perf_counter()
+                for wave in waves:
+                    for req in wave:
+                        engine.submit(req)
+                    engine.flush()
+                    clock.advance(profile.wave_seconds)
+                return time.perf_counter() - t0
+
+        pairs = [(run_once(False), run_once(True)) for _ in range(7)]
+        overhead = max(0.0, min((e - d) / d for d, e in pairs if d > 0))
+        assert overhead < 0.05

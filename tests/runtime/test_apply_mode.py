@@ -4,6 +4,8 @@ inverse states (poison-aware), the per-bin autotuner, and the visible
 fallback semantics for backends that cannot invert.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,27 @@ class TestResilientApply:
         assert any(
             e.get("action") == "inverse_to_factor" for e in events
         )
+
+
+class TestInverseApplySpeed:
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_gemv_apply_beats_trsv_apply(self, m):
+        # the paper's GJE trade-off: on small uniform bins one GEMV
+        # per apply beats the two sequential triangular sweeps
+        batch = random_batch(64, size=m, kind="diag_dominant", seed=0)
+        rhs = random_rhs(batch, seed=1)
+        rt = BatchRuntime(backend="numpy", cache=False)
+        seconds = {}
+        for mode in ("factor", "inverse"):
+            fac = rt.factorize(batch, use_cache=False, apply_mode=mode)
+            assert fac.effective_apply_mode == mode
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                fac.solve(rhs)
+                best = min(best, time.perf_counter() - t0)
+            seconds[mode] = best
+        assert seconds["inverse"] < seconds["factor"], seconds
 
 
 class TestTelemetry:

@@ -108,6 +108,23 @@ ADVERSARIAL = {
     "graded": lambda: graded_batch(24, size=16, seed=0, decades=4.0),
 }
 
+#: the SIZE and BATCH sweep points: uniform bins and one mixed batch
+SWEEP = {
+    **{
+        f"uniform_m{m}": (
+            lambda m=m: random_batch(
+                64, size=m, kind="diag_dominant", seed=0
+            )
+        )
+        for m in (4, 8, 16, 32)
+    },
+    "mixed_nb128": lambda: random_batch(
+        128, size_range=(1, 32), kind="diag_dominant", seed=128
+    ),
+}
+
+ROUND_TRIP_CASES = {**ADVERSARIAL, **SWEEP}
+
 ALL_BACKENDS = sorted(BACKENDS)
 AVAILABLE = sorted(available_backends())
 
@@ -158,11 +175,11 @@ class TestContractCoverage:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIP_CASES))
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_adversarial_agreement_with_numpy(self, name, case):
         _skip_unavailable(name)
-        batch = ADVERSARIAL[case]()
+        batch = ROUND_TRIP_CASES[case]()
         rhs = random_rhs(batch, seed=1)
         _, ref = _solve_with("numpy", batch, rhs)
         _, sol = _solve_with(name, batch, rhs)

@@ -10,12 +10,17 @@ from repro.runtime.backends import get_backend
 from repro.serving import (
     REJECT_REASONS,
     CoalescingEngine,
+    LoadProfile,
     Rejection,
     Request,
     ScriptedClock,
     TenantCacheShards,
+    generate_load,
 )
 from tests.strategies import make_batch, make_rhs
+
+#: coalesced responses of the load run re-run solo in the leak audit
+LEAK_SAMPLE = 24
 
 
 def solve_request(tenant, nb=3, max_size=12, seed=0, **kw):
@@ -27,6 +32,54 @@ def solve_request(tenant, nb=3, max_size=12, seed=0, **kw):
         rhs=make_rhs(batch, seed=seed + 1000),
         **kw,
     )
+
+
+def _serve_load(mode, waves, profile):
+    """Serve the waves under one discipline: ``naive`` flushes after
+    every submit, ``coalesced`` once per wave, ``coalesced_cached``
+    once per wave with tenant cache shards.  Returns the coalescing
+    ratio and the (request, response) pairs."""
+    clock = ScriptedClock()
+    shards = (
+        TenantCacheShards(
+            per_tenant_entries=4,
+            ttl_seconds=60.0,
+            per_tenant_bytes=1 << 22,
+            clock=clock,
+        )
+        if mode == "coalesced_cached"
+        else None
+    )
+    engine = CoalescingEngine(
+        runtime=BatchRuntime(cache=False), shards=shards, clock=clock
+    )
+    pairs = []
+    for wave in waves:
+        tickets = []
+        for req in wave:
+            ticket = engine.submit(req)
+            tickets.append((req, ticket))
+            if mode == "naive" and not ticket.done:
+                engine.flush()
+        if mode != "naive":
+            engine.flush()
+        pairs.extend((req, t.response) for req, t in tickets if t.done)
+        clock.advance(profile.wave_seconds)
+    return engine.coalescing_ratio, pairs
+
+
+@pytest.fixture(scope="module")
+def quick_load():
+    """The three disciplines over identical seeded traffic: 200
+    tenants, 6 waves of 16 requests."""
+    profile = LoadProfile(
+        tenants=200, waves=6, requests_per_wave=16, seed=0
+    )
+    waves = generate_load(profile)
+    return {
+        mode: _serve_load(mode, waves, profile)
+        for mode in ("naive", "coalesced", "coalesced_cached")
+    }
 
 
 class TestAdmission:
@@ -171,6 +224,39 @@ class TestCoalescing:
             np.testing.assert_array_equal(
                 solo.solve(req.rhs).data, resp.solution.data
             )
+
+    def test_load_leak_audit_finds_no_mismatch(self, quick_load):
+        pairs = quick_load["coalesced"][1]
+        done = [(q, r) for q, r in pairs if r.status == "ok"]
+        rng = np.random.default_rng(0)
+        idx = rng.choice(len(done), size=LEAK_SAMPLE, replace=False)
+        solo = BatchRuntime(cache=False)
+        checked = mismatches = 0
+        for req, resp in (done[i] for i in sorted(idx)):
+            handle = solo.factorize(
+                req.batch,
+                method=req.method,
+                on_singular=None
+                if req.on_singular in (None, "raise")
+                else req.on_singular,
+                use_cache=False,
+                apply_mode=req.apply_mode,
+            )
+            checked += 1
+            if not np.array_equal(handle.info, resp.info):
+                mismatches += 1
+            elif req.kind == "solve" and resp.solution is not None:
+                if not np.array_equal(
+                    handle.solve(req.rhs).data, resp.solution.data
+                ):
+                    mismatches += 1
+        assert checked > 0
+        assert mismatches == 0
+
+    def test_load_coalescing_ratios(self, quick_load):
+        assert quick_load["naive"][0] == 1.0
+        assert quick_load["coalesced"][0] > 1.0
+        assert quick_load["coalesced_cached"][0] > 1.0
 
     def test_setup_jobs_return_usable_handles(self):
         eng = CoalescingEngine()

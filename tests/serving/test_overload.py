@@ -4,9 +4,13 @@ shedding, brownout degradation - all under scripted clocks."""
 import numpy as np
 import pytest
 
+from repro.core.random_batches import random_batch, random_rhs
+from repro.runtime import BatchRuntime
 from repro.serving import (
     BROWNOUT_LEVELS,
     BrownoutController,
+    ClientPolicy,
+    ClosedLoopClient,
     CoalescingEngine,
     CoDelShedder,
     OverloadController,
@@ -461,3 +465,145 @@ class TestScriptedDeterminism:
     def test_different_seeds_differ(self):
         # guards against the trace accidentally logging nothing
         assert self._trace(7) != self._trace(8)
+
+
+# -- overload gate: FIFO vs EDF+quota under a closed-loop client storm ----
+
+#: flush period (seconds) and blocks executed per flush: the capacity
+#: model is OVERLOAD_CAPACITY / OVERLOAD_DT blocks per second
+OVERLOAD_DT = 0.01
+OVERLOAD_CAPACITY = 6
+OVERLOAD_JOB_BLOCKS = 2
+OVERLOAD_THINK = 0.08
+OVERLOAD_DEADLINE = 0.1
+#: admitted-latency SLO the gate holds EDF to (queue p99, seconds)
+OVERLOAD_SLO = 0.05
+#: fleet size is 20 clients per offered-load level
+OVERLOAD_CLIENTS_PER_LEVEL = 20
+#: window the fleet's first arrivals are spread over (seconds)
+OVERLOAD_STAGGER = 0.3
+
+
+def _overload_engine(policy, clock, n_clients):
+    """``fifo``: admission order, no deadline awareness, no overload
+    controller.  ``edf``: deadline-aware scheduling plus quotas, CoDel
+    and brownout."""
+    capacity_bps = OVERLOAD_CAPACITY / OVERLOAD_DT
+    overload = None
+    if policy == "edf":
+        overload = OverloadController(
+            quotas=TenantQuotas(
+                # hold aggregate admissions under capacity so the
+                # standing queue drains instead of growing
+                0.85 * capacity_bps / max(1, n_clients),
+                burst_seconds=0.15,
+                min_burst=OVERLOAD_JOB_BLOCKS,
+            ),
+            shedder=CoDelShedder(target=0.02, interval=0.05),
+            brownout=BrownoutController(
+                enter_pressure=0.75,
+                exit_pressure=0.25,
+                escalate_hold=0.05,
+                recover_hold=0.1,
+            ),
+            reroute_priority=1,
+        )
+    return CoalescingEngine(
+        runtime=BatchRuntime(cache=False),
+        max_pending=4096,
+        clock=clock,
+        scheduling=policy,
+        overload=overload,
+        max_flush_blocks=OVERLOAD_CAPACITY,
+    )
+
+
+def _overload_job(rng):
+    batch = random_batch(
+        OVERLOAD_JOB_BLOCKS,
+        size_range=(4, 16),
+        kind="diag_dominant",
+        seed=int(rng.integers(2**31)),
+    )
+    return Request(
+        tenant="placeholder",
+        batch=batch,
+        kind="solve",
+        rhs=random_rhs(batch, seed=int(rng.integers(2**31))),
+    )
+
+
+def _run_overload_level(policy, level, ticks, seed):
+    """One (discipline, offered-load) cell under a scripted clock;
+    returns (late deliveries, admitted queue-wait p99 in seconds)."""
+    clock = ScriptedClock()
+    n_clients = OVERLOAD_CLIENTS_PER_LEVEL * level
+    engine = _overload_engine(policy, clock, n_clients)
+    clients = [
+        ClosedLoopClient(
+            f"client-{i:03d}",
+            engine,
+            clock,
+            _overload_job,
+            policy=ClientPolicy(),
+            think_seconds=OVERLOAD_THINK,
+            deadline_seconds=OVERLOAD_DEADLINE,
+            # half the fleet is deprioritised: the brownout reroute
+            # lane's candidates
+            priority=i % 2,
+            # spread first arrivals so the t=0 thundering herd does
+            # not pollute the steady-state percentiles
+            start_delay=(i / n_clients) * OVERLOAD_STAGGER,
+            seed=seed * 10_007 + i,
+        )
+        for i in range(n_clients)
+    ]
+    for _ in range(ticks):
+        for c in clients:
+            c.tick()
+        engine.flush()
+        clock.advance(OVERLOAD_DT)
+    late = sum(c.stats["violations"] for c in clients)
+    waits = [w for c in clients for w in c.queue_seconds]
+    p99 = float(np.percentile(waits, 99)) if waits else 0.0
+    return late, p99
+
+
+class TestOverloadGate:
+    def test_edf_holds_slo_at_twice_fifo_knee(self):
+        # Known weakness, kept as-is: the predicate moved unchanged.
+        # FIFO's level-2 "violation" is a queue p99 of
+        # 0.050000000000000044 s against the 0.05 s bound - exactly
+        # five 10 ms ticks, over the bound only by float accumulation
+        # in ScriptedClock.  With exact tick arithmetic FIFO first
+        # violates at level 4 (p99 180 ms) and EDF's p99 at level 8 is
+        # 100 ms, so EDF holds the SLO at 1x FIFO's knee, not 2x.
+        # Loosening the gate is not allowed and tightening it would
+        # fail on unchanged behaviour; the open item is on ROADMAP.
+        levels, ticks, seed = (1, 2, 4), 150, 0
+        curves = {
+            policy: [
+                _run_overload_level(policy, level, ticks, seed)
+                for level in levels
+            ]
+            for policy in ("fifo", "edf")
+        }
+        fifo_knee = next(
+            (
+                level
+                for level, (late, p99) in zip(levels, curves["fifo"])
+                if late > 0 or p99 > OVERLOAD_SLO
+            ),
+            None,
+        )
+        edf_held = max(
+            (
+                level
+                for level, (_, p99) in zip(levels, curves["edf"])
+                if p99 <= OVERLOAD_SLO
+            ),
+            default=0,
+        )
+        assert all(late == 0 for late, _ in curves["edf"])
+        assert fifo_knee is not None
+        assert edf_held >= 2 * fifo_knee

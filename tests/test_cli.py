@@ -96,41 +96,6 @@ class TestCommands:
             main(["solve", "fem_b8_s1", "--backend", "cuda"])
 
 
-class TestBenchCommand:
-    def test_quick_sweep_writes_report(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "bench.json"
-        rc = main(["bench", "--quick", "--backends", "numpy,binned",
-                   "--out", str(out_path)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "runtime backend sweep" in out
-        assert "PASS" in out
-        report = json.loads(out_path.read_text())
-        assert report["passed"] is True
-        assert report["meta"]["backends"] == ["numpy", "binned"]
-        names = [c["name"] for c in report["cases"]]
-        assert any(n.startswith("size/") for n in names)
-        assert any(n.startswith("batch/") for n in names)
-        assert any(n.startswith("adversarial/") for n in names)
-        for case in report["cases"]:
-            assert case["checks"]["binned"]["passed"]
-
-    def test_stdout_json(self, capsys):
-        import json
-
-        rc = main(["bench", "--quick", "--backends", "numpy",
-                   "--out", "-"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert json.loads(out)["meta"]["reference"] == "numpy"
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unavailable backend"):
-            main(["bench", "--quick", "--backends", "cuda"])
-
-
 class TestResilienceFlags:
     def test_solve_with_fallback_chain(self, capsys):
         rc = main(["solve", "fem_b8_s1", "--bound", "16",
@@ -227,16 +192,3 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert rc == 0
         assert "OK: within threshold" in out
-
-    def test_bench_embeds_schema_and_metrics(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "bench.json"
-        rc = main(["bench", "--quick", "--backends", "numpy",
-                   "--out", str(out_path)])
-        capsys.readouterr()
-        assert rc == 0
-        report = json.loads(out_path.read_text())
-        assert report["schema"]["name"] == "repro.bench.runtime_sweep"
-        assert "metrics" in report
-        assert "git_sha" in report["meta"]

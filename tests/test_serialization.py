@@ -105,22 +105,6 @@ class TestReportRoundTrips:
         d = _roundtrip(report.to_dict())
         assert isinstance(d["passed"], bool)
 
-    def test_bench_sweep_report(self):
-        from repro.bench.runtime_sweep import run_backend_sweep
-
-        report = run_backend_sweep(
-            backends=["numpy", "binned"], quick=True, seed=0
-        )
-        d = _roundtrip(report)
-        assert d["schema"]["name"] == "repro.bench.runtime_sweep"
-        assert isinstance(d["schema"]["version"], int)
-        assert "git_sha" in d["meta"]
-        assert isinstance(d["metrics"], dict)
-        # deliberately timestamp-free metadata
-        assert not any(
-            "time" in k or "date" in k for k in d["meta"]
-        )
-
     def test_chaos_report(self):
         from repro.chaos import run_chaos_suite
 
