@@ -105,8 +105,8 @@ class ChaosBackend(Backend):
         self._record(fired)
         return out
 
-    def bin_stats(self, plan):
-        return self.inner.bin_stats(plan)
+    def bin_stats(self, plan, method):
+        return self.inner.bin_stats(plan, method)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = [i.name for i in self.injectors]

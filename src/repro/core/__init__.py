@@ -25,7 +25,8 @@ Public surface:
   :func:`~repro.core.interleaved.soa_to_aos` and the
   ``interleaved_*`` kernels - the structure-of-arrays realisation of
   the LU/TRSV/Gauss-Huard sweeps (contiguous per-step access across
-  the batch).
+  the batch), and per-block LAPACK ``getrf`` packed into the same LU
+  state (:func:`~repro.core.interleaved.interleaved_getrf_factor`).
 """
 
 from .batch import (
@@ -56,6 +57,7 @@ from .interleaved import (
     InterleavedGHFactors,
     InterleavedLUFactors,
     aos_to_soa,
+    interleaved_getrf_factor,
     interleaved_gh_factor,
     interleaved_gh_solve,
     interleaved_lu_factor,
@@ -105,6 +107,7 @@ __all__ = [
     "soa_to_aos",
     "interleaved_lu_factor",
     "interleaved_lu_solve",
+    "interleaved_getrf_factor",
     "interleaved_gh_factor",
     "interleaved_gh_solve",
     "random_batch",

@@ -34,8 +34,17 @@ multiply-add per ``j``, while the AoS cores contract with ``einsum``.
 GH/GH-T results therefore agree with the AoS kernels to rounding (a
 few ulps), and a block's result never depends on the batch it runs in.
 
-These kernels are the ``binned`` runtime backend's layout for
-``lu``/``gh``/``ght``.  Factor objects carry their SoA storage plus
+:func:`interleaved_getrf_factor` fills the same LU state another way:
+LAPACK ``getrf`` on each block at its exact size, with the factors
+and pivots packed into the SoA layout.  It agrees with the sweep to
+rounding, not bitwise; blocks LAPACK cannot factor cleanly (a zero
+pivot or a non-finite entry) are factored again by the sweep, so
+``info`` and degradation keep the sweep's semantics.
+
+The ``binned`` runtime backend runs :func:`interleaved_getrf_factor`
+for ``lu`` and the SoA sweeps for ``gh``/``ght``; every ``lu`` solve
+and explicit inverse reads the SoA state.  Factor objects carry their
+SoA storage plus
 ``to_aos()`` adapters that rebuild the equivalent
 :class:`~repro.core.batched_lu.LUFactors` /
 :class:`~repro.core.batched_gauss_huard.GHFactors`, the bridge to the
@@ -47,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .batch import BatchedMatrices, BatchedVectors
 from .batched_gauss_huard import GHFactors
@@ -62,6 +72,7 @@ __all__ = [
     "InterleavedGHFactors",
     "InterleavedLUFactors",
     "aos_to_soa",
+    "interleaved_getrf_factor",
     "interleaved_gh_factor",
     "interleaved_gh_solve",
     "interleaved_lu_factor",
@@ -198,13 +209,15 @@ class InterleavedGHFactors:
 #: with only a few blocks, the batch-axis inner loops are too short to
 #: amortise NumPy's per-loop cost, so the update iterates over the
 #: trailing columns innermost instead (same elementwise arithmetic,
-#: bit for bit; only the traversal order changes)
+#: bit for bit; only the traversal order changes).  The getrf kernel's
+#: referee, which refactors the few blocks LAPACK failed on, runs here.
 _BY_BLOCK_NB = 8
 
 #: the LU core's GER update and final row gather work in column / row
 #: slabs: a quarter of the tile, or more while a slab's temporary stays
 #: under this many elements.  A large bin's temporaries then stay a
-#: quarter of the batch, and a small bin runs in one piece.
+#: quarter of the batch, and a small bin runs in one piece.  The getrf
+#: kernel gathers its per-size stacks in slabs of this many elements.
 _TEMP_ELEMENTS = 1 << 16
 
 
@@ -281,6 +294,50 @@ def _ilu_core(S: np.ndarray, out: np.ndarray | None = None):
     return out, perm, info
 
 
+def _factor_lu(
+    core, kernel: str, batch: BatchedMatrices, overwrite: bool,
+    on_singular: OnSingular | None,
+) -> InterleavedLUFactors:
+    """The LU wrappers' shared body around ``core(data, sizes, out)``.
+
+    ``core`` factors an AoS batch into SoA ``out`` (a fresh array when
+    None) and returns ``(out, perm, info)``; it also refactors the
+    substitution engine's candidates.
+    """
+    originals = None
+    if on_singular in ("scalar", "shift"):
+        originals = batch.data.copy() if overwrite else batch.data
+    sizes = batch.sizes.copy()
+    tile = batch.tile
+    out, perm, info = core(
+        batch.data,
+        sizes,
+        batch.data.reshape(tile, tile, batch.nb) if overwrite else None,
+    )
+    record = None
+    if on_singular is not None:
+
+        def refactor(cand: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            sub_out, sub_perm, sub_info = core(cand, sizes[idx], None)
+            out[:, :, idx] = sub_out
+            perm[idx] = sub_perm
+            return sub_info
+
+        record = substitute_singular_blocks(
+            on_singular,
+            info,
+            refactor,
+            originals,
+            sizes,
+            tile,
+            out.dtype,
+            kernel=kernel,
+        )
+    return InterleavedLUFactors(
+        soa=out, perm=perm, info=info, sizes=sizes, degradation=record
+    )
+
+
 def interleaved_lu_factor(
     batch: BatchedMatrices,
     overwrite: bool = False,
@@ -295,35 +352,107 @@ def interleaved_lu_factor(
     second output array.  The returned factors, permutations and
     ``info`` are bitwise equal to the AoS kernel's.
     """
-    originals = None
-    if on_singular in ("scalar", "shift"):
-        originals = batch.data.copy() if overwrite else batch.data
-    sizes = batch.sizes.copy()
-    S = aos_to_soa(batch.data)
-    out, perm, info = _ilu_core(
-        S, batch.data.reshape(S.shape) if overwrite else None
+    return _factor_lu(
+        lambda data, sizes, out: _ilu_core(aos_to_soa(data), out),
+        "batched LU (interleaved layout)",
+        batch,
+        overwrite,
+        on_singular,
     )
-    record = None
-    if on_singular is not None:
 
-        def refactor(cand: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            sub_out, sub_perm, sub_info = _ilu_core(aos_to_soa(cand))
-            out[:, :, idx] = sub_out
-            perm[idx] = sub_perm
-            return sub_info
 
-        record = substitute_singular_blocks(
-            on_singular,
-            info,
-            refactor,
-            originals,
-            sizes,
-            out.shape[0],
-            out.dtype,
-            kernel="batched LU (interleaved layout)",
+def _getrf_core(
+    data: np.ndarray, sizes: np.ndarray, out: np.ndarray | None = None
+):
+    """LAPACK ``getrf`` on every block of an AoS batch at its exact size.
+
+    Blocks of one size are gathered into a stack, each stored
+    transposed so that its transpose is a Fortran-ordered view LAPACK
+    factors in place.  Only once every block is factored is the SoA
+    layout written into ``out`` (which may alias ``data``): the packed
+    factors in the active corner, identity in the padding.  The swap
+    sequence ``ipiv`` becomes a gather ``perm`` with an identity tail.
+
+    LAPACK flags only exact-zero pivots, so any block with a nonzero
+    ``info`` or a non-finite factor entry is factored again by
+    :func:`_ilu_core` from a copy of its input taken before the
+    overwrite: ``info`` and the factors of a failed block are then the
+    SoA core's, bit for bit.
+    """
+    nb, tile, _ = data.shape
+    (getrf,) = get_lapack_funcs(("getrf",), dtype=data.dtype)
+    ipiv = np.tile(np.arange(tile), (nb, 1))
+    bad = np.zeros(nb, dtype=bool)
+    stacks = []
+    for m in np.unique(sizes):
+        m = int(m)
+        idx = np.flatnonzero(sizes == m)
+        stack = np.empty((idx.size, m, m), dtype=data.dtype)
+        step = max(1, _TEMP_ELEMENTS // (m * m))
+        for c in range(0, idx.size, step):
+            # a fancy index copies: slabs keep that copy small
+            stack[c : c + step] = data[idx[c : c + step], :m, :m].transpose(
+                0, 2, 1
+            )
+        piv = np.empty((idx.size, m), dtype=np.int32)
+        lapack_info = np.empty(idx.size, dtype=np.int64)
+        for j, a in enumerate(stack):
+            _, piv[j], lapack_info[j] = getrf(a.T, overwrite_a=True)
+        ipiv[idx, :m] = piv
+        bad[idx] = (lapack_info != 0) | ~np.isfinite(stack).all(
+            axis=(1, 2)
         )
-    return InterleavedLUFactors(
-        soa=out, perm=perm, info=info, sizes=sizes, degradation=record
+        stacks.append((m, idx, stack))
+    failed = np.flatnonzero(bad)
+    originals = data[failed].copy()
+    if out is None:
+        out = np.empty((tile, tile, nb), dtype=data.dtype)
+    out.fill(0)
+    out[np.arange(tile), np.arange(tile), :] = 1
+    for m, idx, stack in stacks:
+        out[:m, :m, idx] = stack.transpose(2, 1, 0)
+    perm = np.tile(np.arange(tile), (nb, 1))
+    barange = np.arange(nb)
+    for k in range(tile):
+        j = ipiv[:, k]
+        pk = perm[:, k].copy()
+        perm[:, k] = perm[barange, j]
+        perm[barange, j] = pk
+    info = np.zeros(nb, dtype=np.int64)
+    if failed.size:
+        sub_out, perm[failed], info[failed] = _ilu_core(
+            aos_to_soa(originals)
+        )
+        out[:, :, failed] = sub_out
+    return out, perm, info
+
+
+def interleaved_getrf_factor(
+    batch: BatchedMatrices,
+    overwrite: bool = False,
+    on_singular: OnSingular | None = None,
+) -> InterleavedLUFactors:
+    """LU of every block by LAPACK ``getrf``, in interleaved storage.
+
+    Each block is factored at its exact active size (so its factors
+    never depend on the tile or on the other blocks of the batch) and
+    the factors are packed into the same :class:`InterleavedLUFactors`
+    that :func:`interleaved_lu_factor` returns, so the SoA solve, the
+    explicit inverse and every reader of the SoA state work unchanged.
+    The wrapper follows the dtype (``sgetrf`` for float32).
+    ``overwrite`` and ``on_singular`` behave as in
+    :func:`interleaved_lu_factor`, and substituted blocks are factored
+    the same way.  Blocks LAPACK cannot factor cleanly get the SoA
+    core's factors and ``info`` (see :func:`_getrf_core`); the others
+    agree with the SoA core to rounding, not bitwise: LAPACK orders
+    its updates differently.
+    """
+    return _factor_lu(
+        _getrf_core,
+        "LAPACK getrf (interleaved layout)",
+        batch,
+        overwrite,
+        on_singular,
     )
 
 

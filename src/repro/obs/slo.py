@@ -109,6 +109,12 @@ class _Monitor:
             self.bad += 1
         self._prune(now)
 
+    def record_many(self, goods: list, now: float) -> None:
+        self.samples.extend((now, bool(g)) for g in goods)
+        self.total += len(goods)
+        self.bad += len(goods) - sum(map(bool, goods))
+        self._prune(now)
+
     def _prune(self, now: float) -> None:
         horizon = now - self.slo.slow_window
         q = self.samples
@@ -226,6 +232,15 @@ class SLOEngine:
         if mon is None:
             return
         mon.record(good, self._clock() if now is None else now)
+
+    def record_many(
+        self, name: str, goods: list, now: float | None = None
+    ) -> None:
+        """Feed several samples taken at one time ``now``."""
+        mon = self._monitors.get(name)
+        if mon is None or not goods:
+            return
+        mon.record_many(goods, self._clock() if now is None else now)
 
     def evaluate(self, now: float | None = None) -> list[dict]:
         """Run every monitor's alert state machine; returns the new

@@ -33,7 +33,6 @@ from .backends import (
     Backend,
     BackendFactorization,
     BackendInverse,
-    BackendUnavailable,
     available_backends,
     get_backend,
     register_backend,
@@ -57,7 +56,6 @@ __all__ = [
     "Backend",
     "BackendFactorization",
     "BackendInverse",
-    "BackendUnavailable",
     "BatchRuntime",
     "BinTuning",
     "BinPlan",

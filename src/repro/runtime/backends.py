@@ -8,14 +8,17 @@ swap them freely, and the differential oracles in :mod:`repro.verify`
 can cross-check them against each other:
 
 ``"binned"``
-    The planner's per-bin padded execution (the runtime default): one
-    kernel call per occupied size bin at the bin's (tight) tile,
-    results merged back into source order.  The kernel of each method
-    comes from one table: ``lu``/``gh``/``ght`` run the
-    structure-of-arrays sweeps of :mod:`repro.core.interleaved` (Gloster
-    et al., PAPERS.md), where every per-``k`` elimination step touches
-    contiguous length-``nb`` vectors; ``gje`` and ``cholesky``, which
-    have no SoA realisation, run the AoS cores.
+    The planner's per-bin execution (the runtime default): one kernel
+    call per occupied size bin at the bin's (tight) tile, results
+    merged back into source order.  The kernel of each method comes
+    from one table.  ``lu`` runs LAPACK ``getrf`` on every block at its
+    exact size and packs the factors into the structure-of-arrays
+    state of :mod:`repro.core.interleaved` (Gloster et al., PAPERS.md),
+    whose solve sweeps touch contiguous length-``nb`` vectors; small
+    problems are bound by per-call overhead, and per-block LAPACK beats
+    the paper's elimination sweep on every bin the benchmark workloads
+    use.  ``gh``/``ght`` run the SoA sweeps; ``gje`` and ``cholesky``,
+    which have no SoA realisation, run the AoS cores.
 ``"numpy"``
     The monolithic AoS reference: one vectorised kernel call on the
     source batch at the source tile - the paper's kernels as written,
@@ -23,13 +26,14 @@ can cross-check them against each other:
 ``"scipy"``
     Per-block LAPACK (``getrf``/``getrs`` via SciPy): the external
     anchor.  No padding at all, so its reports show zero waste.  LU
-    only; gated on SciPy being importable.
+    only.
 
 What is bitwise and what is held to a tolerance:
 
-* ``binned`` against ``numpy``: ``lu`` and ``cholesky`` solutions are
-  bitwise (the SoA LU/TRSV sweeps and the identity-padded AoS cores do
-  the same elementwise operations on the active entries at any tile).
+* ``binned`` against ``numpy``: ``cholesky`` solutions are bitwise
+  (the identity-padded AoS core does the same elementwise operations
+  on the active entries at any tile).  ``lu`` agrees to rounding:
+  LAPACK orders its updates differently from the paper's kernel.
   ``gh``/``ght`` agree to rounding: the SoA lazy update sums in a
   fixed order where the AoS core uses ``einsum``.  ``gje`` and every
   explicit-inverse apply agree to rounding: the GEMV reduction runs
@@ -37,7 +41,8 @@ What is bitwise and what is held to a tolerance:
 * ``binned`` against itself: a block gets bit-identical ``info`` and
   solutions whether it is factorized alone, in a sub-batch, or
   coalesced into a larger batch - the scatter-back invariant of the
-  serving layer.  Explicit-inverse states (``gje``
+  serving layer.  ``getrf`` runs at each block's own size, never the
+  bin's tile.  Explicit-inverse states (``gje``
   factors and every ``apply_mode="inverse"`` inverse) are stored at the
   bin's *nominal* tile, so their GEMV reduction length never depends on
   which other blocks share the bin.
@@ -62,11 +67,12 @@ failed blocks and record a merged
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from ..core.batch import BatchedMatrices, BatchedVectors
 from ..core.batched_cholesky import cholesky_factor, cholesky_solve
@@ -86,9 +92,9 @@ from ..core.explicit_inverse import (
     invert_factors,
 )
 from ..core.interleaved import (
+    interleaved_getrf_factor,
     interleaved_gh_factor,
     interleaved_gh_solve,
-    interleaved_lu_factor,
     interleaved_lu_solve,
 )
 from ..telemetry.tracer import get_tracer
@@ -100,7 +106,6 @@ __all__ = [
     "Backend",
     "BackendFactorization",
     "BackendInverse",
-    "BackendUnavailable",
     "available_backends",
     "get_backend",
     "register_backend",
@@ -108,10 +113,6 @@ __all__ = [
 
 #: supported factorization methods, mirroring the preconditioner knob
 METHODS = ("lu", "gh", "ght", "gje", "cholesky")
-
-
-class BackendUnavailable(RuntimeError):
-    """The requested backend cannot run in this environment."""
 
 
 #: (factor, solve) kernels of the AoS cores per method; ``factor`` is
@@ -143,12 +144,13 @@ AOS_KERNELS: dict[str, tuple[Callable, Callable]] = {
     ),
 }
 
-#: the ``binned`` backend's kernel per method: the SoA sweeps where a
-#: realisation exists, the AoS cores otherwise
+#: the ``binned`` backend's kernel per method: LAPACK ``getrf`` per
+#: block packed into the SoA state for ``lu``, the SoA sweeps for
+#: ``gh``/``ght``, the AoS cores otherwise
 BINNED_KERNELS: dict[str, tuple[Callable, Callable]] = {
     **AOS_KERNELS,
     "lu": (
-        lambda b, pol, ow: interleaved_lu_factor(
+        lambda b, pol, ow: interleaved_getrf_factor(
             b, overwrite=ow, on_singular=pol
         ),
         interleaved_lu_solve,
@@ -285,8 +287,9 @@ class Backend:
     ) -> BatchedVectors:
         raise NotImplementedError
 
-    def bin_stats(self, plan: ExecutionPlan) -> list[BinStats]:
-        """Padding accounting of how *this* backend executes the plan."""
+    def bin_stats(self, plan: ExecutionPlan, method: str) -> list[BinStats]:
+        """Padding accounting of how *this* backend executes the plan
+        with ``method``."""
         raise NotImplementedError
 
     def invert(
@@ -326,28 +329,19 @@ def register_backend(cls: type[Backend]) -> type[Backend]:
 
 
 def get_backend(name: str) -> Backend:
-    """Instantiate a registered backend (raises on unknown/unavailable)."""
+    """Instantiate a registered backend (raises on an unknown name)."""
     try:
         cls = BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown backend {name!r}; registered: {sorted(BACKENDS)}"
         ) from None
-    if name == "scipy" and importlib.util.find_spec("scipy") is None:
-        raise BackendUnavailable(
-            "the 'scipy' backend needs SciPy, which is not installed"
-        )
     return cls()
 
 
 def available_backends() -> list[str]:
-    """Registered backends that can actually run here, sorted."""
-    names = []
-    for name in BACKENDS:
-        if name == "scipy" and importlib.util.find_spec("scipy") is None:
-            continue
-        names.append(name)
-    return sorted(names)
+    """Registered backends, sorted."""
+    return sorted(BACKENDS)
 
 
 # -- shared binned machinery -------------------------------------------------
@@ -426,14 +420,19 @@ def _factor_bins(
     return merge_bin_status(plan, method, on_singular, facs, (method, facs))
 
 
-def _binned_stats(plan: ExecutionPlan) -> list[BinStats]:
+def _binned_stats(plan: ExecutionPlan, method: str) -> list[BinStats]:
+    """Per-bin accounting: ``lu`` bins run ``getrf`` at each block's
+    exact size and pad nothing; the other kernels run the tight tile."""
     return [
         BinStats(
             nominal_tile=b.nominal_tile,
             tile=b.tile,
             nb=b.nb,
             useful_flops=b.useful_flops_lu(),
-            padded_flops=b.padded_flops_lu(),
+            padded_flops=(
+                b.useful_flops_lu() if method == "lu"
+                else b.padded_flops_lu()
+            ),
         )
         for b in plan.bins
     ]
@@ -470,7 +469,7 @@ class NumpyBackend(Backend):
             return self.solve(state, plan, rhs)
         return inverse_apply(inv.states, rhs)
 
-    def bin_stats(self, plan):
+    def bin_stats(self, plan, method):
         src = plan.source
         if src.nb == 0:
             return []
@@ -524,8 +523,8 @@ class BinnedBackend(Backend):
             ]
         )
 
-    def bin_stats(self, plan):
-        return _binned_stats(plan)
+    def bin_stats(self, plan, method):
+        return _binned_stats(plan, method)
 
 
 @register_backend
@@ -546,18 +545,14 @@ class ScipyBackend(Backend):
                 "the 'scipy' backend factorizes with LAPACK getrf and "
                 f"supports method='lu' only, got {method!r}"
             )
-        import scipy.linalg
-
         src = plan.source
         nb = src.nb
         states: list[tuple[np.ndarray, np.ndarray] | None] = [None] * nb
         info = np.zeros(nb, dtype=np.int64)
 
         def factor_block(i: int, block: np.ndarray) -> None:
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")  # LinAlgWarning on singular
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # LinAlgWarning on singular
                 lu, piv = scipy.linalg.lu_factor(block, check_finite=False)
             states[i] = (lu, piv)
             zero = np.nonzero(np.diag(lu) == 0.0)[0]
@@ -592,8 +587,6 @@ class ScipyBackend(Backend):
         )
 
     def solve(self, state, plan, rhs):
-        import scipy.linalg
-
         src = plan.source
         out = np.zeros(
             (src.nb, src.tile), dtype=np.result_type(rhs.dtype, np.float64)
@@ -605,16 +598,7 @@ class ScipyBackend(Backend):
             )
         return BatchedVectors(out, src.sizes.copy())
 
-    def bin_stats(self, plan):
-        # LAPACK runs the exact active size: zero padding waste, but we
-        # keep the plan's bin structure so waste comparisons line up.
-        return [
-            BinStats(
-                nominal_tile=b.nominal_tile,
-                tile=b.tile,
-                nb=b.nb,
-                useful_flops=b.useful_flops_lu(),
-                padded_flops=b.useful_flops_lu(),
-            )
-            for b in plan.bins
-        ]
+    def bin_stats(self, plan, method):
+        # LAPACK runs the exact active size: zero padding waste, charged
+        # per plan bin so waste comparisons line up
+        return _binned_stats(plan, "lu")

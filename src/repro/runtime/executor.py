@@ -49,7 +49,6 @@ from .backends import (
     METHODS,
     Backend,
     BackendFactorization,
-    BackendUnavailable,
     NumpyBackend,
     _binned_stats,
     get_backend,
@@ -309,8 +308,8 @@ class BatchRuntime:
         Ordered fallback chain of backend names (or instances) tried
         when the primary backend fails on the whole batch, e.g.
         ``("numpy", "scipy")`` for the documented
-        ``binned -> numpy -> scipy`` chain.  Unavailable backends are
-        skipped at construction.  None (default) disables the chain.
+        ``binned -> numpy -> scipy`` chain; the primary and repeated
+        names are skipped.  None (default) disables the chain.
     quarantine:
         Retry failing/corrupted size bins in isolation (primary
         backend first, then the reference ``numpy`` backend) instead of
@@ -375,12 +374,7 @@ class BatchRuntime:
         if fallback is not None:
             seen = {self.backend.name}
             for entry in fallback:
-                try:
-                    b = entry if isinstance(entry, Backend) else get_backend(
-                        entry
-                    )
-                except BackendUnavailable:
-                    continue
+                b = entry if isinstance(entry, Backend) else get_backend(entry)
                 if b.name in seen:
                     continue
                 seen.add(b.name)
@@ -538,13 +532,13 @@ class BatchRuntime:
                 plan, method, on_singular, report
             )
         if producer is COMPOSITE_BACKEND:
-            report.bins = _binned_stats(plan)
+            report.bins = _binned_stats(plan, method)
             for i, b in enumerate(report.bins):
                 if i in report.quarantined_bins:
                     b.quarantined = True
                     b.fallback = True
         else:
-            report.bins = producer.bin_stats(plan)
+            report.bins = producer.bin_stats(plan, method)
             if producer is not self.backend:
                 for b in report.bins:
                     b.fallback = True

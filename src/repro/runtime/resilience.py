@@ -318,10 +318,10 @@ class CompositeBinBackend(Backend):
             sols.append(ex.backend.solve(ex.state, ex.plan, r))
         return plan.merge_solutions(sols)
 
-    def bin_stats(self, plan):
+    def bin_stats(self, plan, method):
         from .backends import _binned_stats
 
-        return _binned_stats(plan)
+        return _binned_stats(plan, method)
 
 
 #: shared stateless router instance used by the executor

@@ -92,6 +92,86 @@ def _observe_stage(stage: str, seconds: float) -> None:
     ).observe(seconds, stage=stage)
 
 
+class _RequestStamps:
+    """Trace stamps of one traced request, taken as it moves through
+    the engine; its spans are written from them later (see
+    :func:`_request_spans`), which keeps span bookkeeping off the
+    per-request path.  Times are the tracer's (:meth:`Tracer.now`).
+    Holds the span attributes, never the request and its arrays."""
+
+    __slots__ = (
+        "tracer", "parent", "tid", "tenant", "trace_id", "kind", "nb",
+        "start", "admitted", "dequeued", "launches",
+    )
+
+    def __init__(self, tracer, parent, req: Request):
+        self.tracer = tracer
+        self.parent = parent  # the caller's open span id at submit
+        self.tid = tracer.current_tid()
+        self.tenant = req.tenant
+        self.trace_id = req.trace_id
+        self.kind = req.kind
+        self.nb = int(req.batch.nb)
+        self.start = tracer.now()  # admission began
+        self.admitted = None  # admission ended: queued, or refused
+        self.dequeued = None  # a flush took it for execution
+        self.launches = []  # coalesced launches that served it
+
+
+def _record_admit(st: _RequestStamps, outcome: str):
+    return st.tracer.record(
+        "serving.admit", "serving", start=st.start, end=st.admitted,
+        parent=st.parent, tid=st.tid, tenant=st.tenant,
+        trace_id=st.trace_id, kind=st.kind, nb=st.nb, outcome=outcome,
+    )
+
+
+def _request_spans(request_id: int, st: _RequestStamps):
+    """Write a queued request's admission span, its detached request
+    envelope and the envelope's queue-wait child from its stamps, and
+    link every launch that served it so far to the envelope.  Returns
+    ``(envelope, queue)``; the envelope is left open, and so is the
+    queue span (else None) while the request is still queued."""
+    tr = st.tracer
+    admit = _record_admit(st, "queued")
+    # parentage is explicit, never the ambient context (the envelope
+    # outlives admission and must not adopt whatever the caller opens
+    # next)
+    envelope = tr.record(
+        "serving.request", "serving", start=st.admitted, parent=admit,
+        tid=st.tid, tenant=st.tenant, trace_id=st.trace_id,
+        request_id=request_id, kind=st.kind, nb=st.nb,
+    )
+    queue = tr.record(
+        "serving.queue", "serving", start=st.admitted, end=st.dequeued,
+        parent=envelope, tid=st.tid, tenant=st.tenant,
+        trace_id=st.trace_id,
+    )
+    for launch in st.launches:
+        launch.add_link(envelope)
+    return envelope, (queue if st.dequeued is None else None)
+
+
+def _write_deliveries(tr, rows, tid: int, flush_id: int, launch) -> None:
+    """Write the deliver spans of one chunk (run on thread ``tid``)
+    from their stamps and seal each request envelope; a request whose
+    spans were not written yet gets them all here."""
+    for request_id, st, envelope, start, end, status in rows:
+        if envelope is None:
+            envelope, _ = _request_spans(request_id, st)
+        # fan-out: the per-tenant deliver span hangs under the request
+        # envelope and links back to the shared launch
+        tr.record(
+            "serving.deliver", "serving", start=start, end=end,
+            parent=envelope, tid=tid, tenant=st.tenant,
+            trace_id=st.trace_id, flush_id=flush_id, status=status,
+        ).add_link(launch)
+        tr.end_at(
+            envelope, end,
+            outcome="delivered" if status == "ok" else "failed",
+        )
+
+
 class CoalescingEngine:
     """Admission + cross-request coalescing over one batch runtime.
 
@@ -287,21 +367,21 @@ class CoalescingEngine:
                 kind, now=self._clock() if at is None else at, **fields
             )
 
-    def _slo_record(self, name: str, good: bool) -> None:
+    def _slo_record(
+        self, name: str, good: bool, at: float | None = None
+    ) -> None:
+        """Feed one SLO sample, stamped ``at`` when a timestamp is
+        already in hand (else now)."""
         if self.slo is not None:
-            self.slo.record(name, good, now=self._clock())
+            self.slo.record(
+                name, good, now=self._clock() if at is None else at
+            )
 
-    def _latency_good(self, queue_seconds: float) -> bool:
-        """Did this delivery meet the admitted-latency objective?  The
-        bound lives on the SLO itself (``threshold``)."""
-        if self.slo is None:
-            return True
-        slo = self.slo.get("admitted_latency")
-        return (
-            slo is None
-            or slo.threshold is None
-            or queue_seconds <= slo.threshold
-        )
+    def _latency_bound(self) -> float | None:
+        """The admitted-latency objective's bound on queue seconds (it
+        lives on the SLO itself, ``threshold``); None: no bound."""
+        slo = None if self.slo is None else self.slo.get("admitted_latency")
+        return None if slo is None else slo.threshold
 
     def _reject(
         self,
@@ -331,9 +411,9 @@ class CoalescingEngine:
             "shed", at=at, tenant=req.tenant, trace_id=req.trace_id,
             reason=reason, stage=detail.get("stage", "admission"),
         )
-        self._slo_record("shed_rate", False)
+        self._slo_record("shed_rate", False, at=at)
         if reason == "deadline_exceeded":
-            self._slo_record("deadline_hit", False)
+            self._slo_record("deadline_hit", False, at=at)
         return Ticket(request=req, request_id=-1, response=resp)
 
     def _shed_ticket(
@@ -345,6 +425,8 @@ class CoalescingEngine:
         resp.request_id = ticket.request_id
         resp.queue_seconds = max(0.0, now - ticket.submitted_at)
         ticket.response = resp
+        self._open_request_spans([ticket])
+        ticket.stamps = None
         if ticket.queue_span is not None:
             ticket.queue_span.finish()
             ticket.queue_span = None
@@ -375,43 +457,44 @@ class CoalescingEngine:
         tr = get_tracer()
         if not tr.enabled:
             return self._admit(req)
-        aspan = tr.begin(
-            "serving.admit", cat="serving",
-            tenant=req.tenant, trace_id=req.trace_id,
-            kind=req.kind, nb=int(req.batch.nb),
+        current = tr.current_span()
+        st = _RequestStamps(
+            tr, None if current is None else current.span_id, req
         )
         try:
-            ticket = self._admit(req)
+            ticket = self._admit(req, st)
         except Exception:
-            tr.end(aspan, outcome="error")
+            st.admitted = tr.now()
+            _record_admit(st, "error")
             raise
         if ticket.response is None:
-            outcome = "queued"
-            # the detached request envelope + its queue-wait child;
-            # parentage is explicit, never the ambient context (the
-            # envelope outlives this call and must not adopt whatever
-            # the caller opens next)
-            ticket.span = tr.begin(
-                "serving.request", cat="serving", detached=True,
-                tenant=req.tenant, trace_id=req.trace_id,
-                request_id=ticket.request_id, kind=req.kind,
-                nb=int(req.batch.nb),
-            )
-            ticket.queue_span = tr.begin(
-                "serving.queue", cat="serving", detached=True,
-                parent=ticket.span,
-                tenant=req.tenant, trace_id=req.trace_id,
-            )
-        elif ticket.response.status == "rejected":
+            return ticket  # queued: its spans are written later
+        if ticket.response.status == "rejected":
             outcome = "shed"
         elif ticket.response.cache_hit:
             outcome = "cache_hit"
         else:
             outcome = ticket.response.status
-        tr.end(aspan, outcome=outcome)
+        st.admitted = tr.now()
+        tr.defer(lambda _: _record_admit(st, outcome))
         return ticket
 
-    def _admit(self, req: Request) -> Ticket:
+    @staticmethod
+    def _open_request_spans(tickets: list[Ticket]) -> None:
+        """Write the spans of stamped tickets that have none yet and
+        keep the open ones on the ticket: for tickets that stay queued
+        past a flush (visible in a flight dump) or resolve off the
+        delivery path (shed, failed).  Callers own the tickets (taken
+        by their flush, or under the engine lock)."""
+        for t in tickets:
+            if t.stamps is not None and t.span is None:
+                t.span, t.queue_span = _request_spans(
+                    t.request_id, t.stamps
+                )
+
+    def _admit(
+        self, req: Request, stamps: _RequestStamps | None = None
+    ) -> Ticket:
         if self._closed:
             return self._reject(req, "not_running")
         problem = req.validate()
@@ -463,10 +546,13 @@ class CoalescingEngine:
                 depth = len(self._pending)
                 ticket = None
             else:
+                if stamps is not None:
+                    stamps.admitted = stamps.tracer.now()
                 ticket = Ticket(
                     request=req,
                     request_id=self._next_id,
                     submitted_at=self._clock(),
+                    stamps=stamps,
                 )
                 self._next_id += 1
                 self._pending.append(ticket)
@@ -480,7 +566,7 @@ class CoalescingEngine:
             request_id=ticket.request_id, job=req.kind,
             nb=int(req.batch.nb), depth=depth,
         )
-        self._slo_record("shed_rate", True)
+        self._slo_record("shed_rate", True, at=ticket.submitted_at)
         return ticket
 
     def _resolve_cached(
@@ -575,6 +661,9 @@ class CoalescingEngine:
             if t.queue_span is not None:
                 t.queue_span.finish()
                 t.queue_span = None
+            elif t.stamps is not None:
+                t.stamps.dequeued = t.stamps.tracer.now()
+        self._open_request_spans(deferred)
         if deferred:
             self.stats["deferred"] += len(deferred)
             with self._lock:
@@ -636,6 +725,10 @@ class CoalescingEngine:
         if fspan is not None:
             fspan.set(resolved=len(resolved), deferred=len(deferred))
         if self.slo is not None:
+            # an alert dumps the black box: write the spans of the
+            # tickets queued meanwhile first
+            with self._lock:
+                self._open_request_spans(self._pending)
             self.slo.evaluate(self._clock())
         return [t.response for t in resolved]
 
@@ -747,8 +840,7 @@ class CoalescingEngine:
                 flush_id=flush_id, requests=len(chunk),
                 backend=runtime.backend.name, apply_mode=apply_mode,
             )
-            for t in chunk:
-                lspan.add_link(t.span)
+            self._link_launch(lspan, chunk)
         try:
             t0 = PERF()
             cspan = (
@@ -789,6 +881,16 @@ class CoalescingEngine:
         finally:
             if lspan is not None:
                 tr.end(lspan)
+
+    @staticmethod
+    def _link_launch(launch, tickets: list[Ticket]) -> None:
+        """Fan-in: link the launch to the envelope of every request it
+        serves, now or when the request's spans are written."""
+        for t in tickets:
+            if t.span is not None:
+                launch.add_link(t.span)
+            elif t.stamps is not None:
+                t.stamps.launches.append(launch)
 
     def _execute_chunk_resolved(
         self, chunk, segments, merged, handle, effective_policy,
@@ -863,8 +965,7 @@ class CoalescingEngine:
                 backend=runtime.backend.name, apply_mode=apply_mode,
                 rerun=True,
             )
-            for t in tickets:
-                lspan.add_link(t.span)
+            self._link_launch(lspan, tickets)
         try:
             t0 = PERF()
             merged, segments = merge_batches(
@@ -922,18 +1023,31 @@ class CoalescingEngine:
             if tr.enabled
             else None
         )
+        # stamps per traced delivery (see _write_deliveries)
+        traced: list[tuple] = []
         try:
             self._scatter_back(
                 live, handle, tainted, flush_id, now, factor_seconds,
-                coalesced, runtime, launch,
+                coalesced, runtime, launch, traced,
             )
         finally:
+            # the reader of each request's tracer writes its spans
+            by_tracer: dict = {}
+            for row in traced:
+                by_tracer.setdefault(row[1].tracer, []).append(row)
+            for rtr, rows in by_tracer.items():
+                tid = rtr.current_tid()
+                rtr.defer(
+                    lambda t, rows=rows, tid=tid: _write_deliveries(
+                        t, rows, tid, flush_id, launch
+                    )
+                )
             if sspan is not None:
                 tr.end(sspan)
 
     def _scatter_back(
         self, live, handle, tainted, flush_id, now, factor_seconds,
-        coalesced, runtime, launch,
+        coalesced, runtime, launch, traced,
     ) -> None:
         n_requests, n_blocks = coalesced
         self.stats["requests_executed"] += len(live)
@@ -996,7 +1110,10 @@ class CoalescingEngine:
                 solve_error = repr(err)
             solve_seconds = PERF() - t0
             _observe_stage("solve", solve_seconds)
-        tr = get_tracer()
+        slo = self.slo
+        bound = self._latency_bound()
+        latency_good: list[bool] = []  # SLO samples, fed in one batch
+        deadline_hit: list[bool] = []
         delivered = self._clock()
         for (t, seg), tfac in zip(live, views):
             req = t.request
@@ -1022,16 +1139,9 @@ class CoalescingEngine:
                     stage="delivery",
                 )
                 continue
-            dspan = None
-            if tr.enabled and t.span is not None:
-                # fan-out: the per-tenant deliver span hangs under the
-                # request envelope and links back to the shared launch
-                dspan = tr.begin(
-                    "serving.deliver", cat="serving", detached=True,
-                    parent=t.span, tenant=req.tenant,
-                    trace_id=req.trace_id, flush_id=flush_id,
-                )
-                dspan.add_link(launch)
+            st = t.stamps
+            if st is not None:
+                dstart = st.tracer.now()
             resp = Response(
                 tenant=req.tenant,
                 kind=req.kind,
@@ -1061,23 +1171,19 @@ class CoalescingEngine:
                 self.stats["failed"] += 1
             _count_request(req.kind, resp.status)
             t.response = resp
-            self._slo_record(
-                "admitted_latency",
-                self._latency_good(queue_seconds),
-            )
-            if req.deadline is not None:
-                self._slo_record(
-                    "deadline_hit", delivered <= req.deadline
-                )
-            if dspan is not None:
-                dspan.finish(status=resp.status)
-            if t.span is not None:
-                t.span.finish(
-                    outcome=(
-                        "delivered" if resp.status == "ok" else "failed"
-                    ),
-                )
-                t.span = None
+            if slo is not None:
+                latency_good.append(bound is None or queue_seconds <= bound)
+                if req.deadline is not None:
+                    deadline_hit.append(delivered <= req.deadline)
+            if st is not None:
+                traced.append((
+                    t.request_id, st, t.span, dstart, st.tracer.now(),
+                    resp.status,
+                ))
+                t.stamps = t.span = None
+        if slo is not None:
+            slo.record_many("admitted_latency", latency_good, delivered)
+            slo.record_many("deadline_hit", deadline_hit, delivered)
 
     def _fail(
         self, ticket, error, flush_id, now, *, factor_seconds=0.0,
@@ -1107,6 +1213,8 @@ class CoalescingEngine:
             tenant=req.tenant, trace_id=req.trace_id,
             error=error,
         )
+        self._open_request_spans([ticket])
+        ticket.stamps = None
         if ticket.queue_span is not None:
             ticket.queue_span.finish()
             ticket.queue_span = None

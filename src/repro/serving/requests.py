@@ -255,11 +255,16 @@ class Ticket:
     request_id: int
     submitted_at: float = field(default_factory=MONOTONIC)
     response: Response | None = None
-    #: live per-request spans (engine-internal; tracing enabled only):
-    #: ``span`` is the detached request envelope, ``queue_span`` the
-    #: in-queue wait child.  Never serialized.
+    #: per-request tracing (engine-internal; tracing enabled only):
+    #: ``stamps`` are taken as the job moves through the engine, and
+    #: its spans are written from them when the trace is read.  A job
+    #: that stays queued past a flush, or is shed or failed, gets them
+    #: written at once: ``span`` is then the open detached request
+    #: envelope and ``queue_span`` its open in-queue wait child.
+    #: Never serialized.
     span: Any = field(default=None, repr=False, compare=False)
     queue_span: Any = field(default=None, repr=False, compare=False)
+    stamps: Any = field(default=None, repr=False, compare=False)
 
     @property
     def done(self) -> bool:

@@ -30,6 +30,11 @@ Design rules:
 * Spans carry **attributes** (backend, tile, nb, cache_hit,
   fault-taint, trace_id, ...) settable at open time and en route
   (``span.set``).
+* **Stamps for hot paths**: a per-request path can take timestamps
+  with ``now()`` and hand the tracer a writer (``defer``) that turns
+  them into spans (``record`` / ``end_at``).  Pending writers run
+  before any read, so readers see the same spans while the path
+  itself pays only for its stamps.
 
 Timestamps are seconds relative to the tracer's construction; the
 Chrome-trace exporter converts to microseconds.
@@ -41,6 +46,7 @@ import contextvars
 import itertools
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 
 __all__ = [
@@ -194,6 +200,22 @@ class NullTracer:
     def end(self, span, **attrs):
         return None
 
+    def now(self):
+        return 0.0
+
+    def current_tid(self):
+        return 0
+
+    def defer(self, write):
+        return None
+
+    def record(self, name, cat="repro", *, start, end=None, parent=None,
+               tid=None, **attrs):
+        return _NULL_SPAN
+
+    def end_at(self, span, end, **attrs):
+        return None
+
     def event(self, name, **attrs):
         return None
 
@@ -236,6 +258,7 @@ class Tracer:
         self._finished: list[Span] = []
         self._events: list[dict] = []
         self._open: dict[int, Span] = {}
+        self._deferred: deque = deque()  # see defer()
         self._ids = itertools.count(1)
         self._tids: dict[int, int] = {}
 
@@ -247,10 +270,11 @@ class Tracer:
     def _tid(self) -> int:
         """Small stable per-thread id (0 for the first thread seen)."""
         ident = threading.get_ident()
-        with self._lock:
-            if ident not in self._tids:
-                self._tids[ident] = len(self._tids)
-            return self._tids[ident]
+        tid = self._tids.get(ident)  # ids are never reassigned
+        if tid is None:
+            with self._lock:
+                tid = self._tids.setdefault(ident, len(self._tids))
+        return tid
 
     def _emit_event(
         self, name: str, parent_id: int | None, attrs: dict
@@ -265,9 +289,12 @@ class Tracer:
         with self._lock:
             self._events.append(ev)
 
-    def _seal(self, span: Span, attrs: dict | None) -> None:
-        """Stamp the end time and move the span to the finished list."""
-        span.end = self._now()
+    def _seal(
+        self, span: Span, attrs: dict | None, end: float | None = None
+    ) -> None:
+        """Stamp the end time (now, or ``end``) and move the span to
+        the finished list."""
+        span.end = self._now() if end is None else end
         if attrs:
             span.attrs.update(attrs)
         with self._lock:
@@ -350,6 +377,79 @@ class Tracer:
         # span is not on this context's stack: seal it directly
         self._seal(span, attrs)
 
+    # -- stamps: spans written after the fact ------------------------------
+
+    def now(self) -> float:
+        """The current trace time: a stamp for :meth:`record` and
+        :meth:`end_at`."""
+        return self._clock() - self._t0
+
+    def current_tid(self) -> int:
+        """The calling thread's small id: a stamp for :meth:`record`."""
+        return self._tid()
+
+    def defer(self, write) -> None:
+        """Queue ``write(tracer)``, which writes spans from stamps
+        taken earlier.  Queued writes run in order before anything
+        reads this tracer (:meth:`spans`, :meth:`open_spans`, and the
+        exporters and flight dumps built on them), so a hot path can
+        stamp as it goes and leave the span bookkeeping to the reader.
+        """
+        self._deferred.append(write)
+
+    def _drain(self) -> None:
+        q = self._deferred
+        while q:
+            try:
+                write = q.popleft()
+            except IndexError:  # another reader took the last one
+                break
+            write(self)
+
+    def record(
+        self,
+        name: str,
+        cat: str = "repro",
+        *,
+        start: float,
+        end: float | None = None,
+        parent: "Span | int | None" = None,
+        tid: int | None = None,
+        **attrs,
+    ) -> Span:
+        """Write a span from stamps taken earlier (:meth:`now`,
+        :meth:`current_tid`).
+
+        The span is sealed at ``end`` when it is given and left open
+        otherwise (seal it with :meth:`end` or :meth:`end_at`).  It
+        never joins the context stack: ``parent`` names its parent
+        explicitly (None makes a root span), and ``tid`` the thread it
+        ran on (default: the caller's).
+        """
+        if isinstance(parent, Span):
+            parent = parent.span_id
+        elif parent is not None:
+            parent = int(parent)
+        if tid is None:
+            tid = self._tid()
+        with self._lock:
+            span_id = next(self._ids)
+            span = Span(
+                self, name, cat, start, span_id, parent, tid, attrs
+            )
+            if end is None:
+                self._open[span_id] = span
+            else:
+                span.end = end
+                self._finished.append(span)
+        return span
+
+    def end_at(self, span: Span, end: float, **attrs) -> None:
+        """Seal an open span at an earlier stamp ``end`` (idempotent),
+        for spans kept off the context stack (detached or recorded)."""
+        if isinstance(span, Span) and span.end is None:
+            span._tracer._seal(span, attrs, end)
+
     def span(self, name: str, cat: str = "repro", **attrs) -> Span:
         """``with tracer.span("precond.setup", backend="binned"): ...``"""
         return self.begin(name, cat, **attrs)
@@ -363,11 +463,13 @@ class Tracer:
 
     def spans(self) -> list[Span]:
         """Finished spans, in completion order (a snapshot)."""
+        self._drain()
         with self._lock:
             return list(self._finished)
 
     def open_spans(self) -> list[Span]:
         """Spans still open anywhere (exporters close them soft)."""
+        self._drain()
         with self._lock:
             return list(self._open.values())
 
@@ -376,6 +478,7 @@ class Tracer:
             return [dict(e) for e in self._events]
 
     def clear(self) -> None:
+        self._deferred.clear()
         with self._lock:
             self._finished.clear()
             self._events.clear()

@@ -17,8 +17,7 @@ harness:
   and produce bitwise-comparable factors once the row order is fixed;
 * the ``"scipy"`` oracle routes every block through
   ``scipy.linalg.lu_factor`` / ``lu_solve`` (LAPACK ``getrf/getrs``),
-  anchoring the whole family to an external reference.  It degrades
-  gracefully (reported as unavailable) when SciPy is missing.
+  anchoring the whole family to an external reference.
 
 A kernel that raises (e.g. a singular block rejected by ``lu_solve``)
 is recorded as *failed* rather than aborting the harness, so a single
@@ -31,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+import scipy.linalg
 
 from ..core.batch import BatchedMatrices, BatchedVectors
 from ..core.batched_cholesky import cholesky_factor, cholesky_solve
@@ -85,8 +85,6 @@ def _solve_scipy(
     batch: BatchedMatrices, rhs: BatchedVectors
 ) -> BatchedVectors:
     """LAPACK oracle: per-block ``getrf`` + ``getrs`` through SciPy."""
-    import scipy.linalg  # gated: reported as unavailable if missing
-
     out = np.zeros_like(rhs.data)
     for i in range(batch.nb):
         m = int(batch.sizes[i])
@@ -202,8 +200,6 @@ def differential_solve(
     for name in names:
         try:
             sol = SOLVER_ORACLES[name](batch, rhs)
-        except ImportError as exc:
-            runs[name] = KernelRun(name, None, f"unavailable: {exc}")
         except Exception as exc:  # singular blocks etc.
             runs[name] = KernelRun(name, None, f"{type(exc).__name__}: {exc}")
         else:

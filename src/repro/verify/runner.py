@@ -283,15 +283,8 @@ def _check_differential(sweep, quick: bool, seed: int) -> CheckResult:
         if not well:
             continue
         report = differential_solve(batch, _rhs(batch, seed + 29), kernels)
-        # a missing SciPy is an environment limitation, not a numerical
-        # regression: drop it from the verdict but keep it in the report
-        hard_failures = [
-            k
-            for k in report.failed_kernels
-            if not (report.runs[k].error or "").startswith("unavailable")
-        ]
         reports[name] = report.to_dict()
-        if hard_failures or report.max_discrepancy() > _DIFF_TOL:
+        if report.failed_kernels or report.max_discrepancy() > _DIFF_TOL:
             failures[name] = report.to_dict()
     # Cholesky joins on SPD input only
     spd = random_batch(
@@ -301,11 +294,7 @@ def _check_differential(sweep, quick: bool, seed: int) -> CheckResult:
         spd, _rhs(spd, seed + 31), ["lu", "cholesky", "scipy"]
     )
     reports["spd"] = spd_report.to_dict()
-    if spd_report.max_discrepancy() > _DIFF_TOL or [
-        k
-        for k in spd_report.failed_kernels
-        if not (spd_report.runs[k].error or "").startswith("unavailable")
-    ]:
+    if spd_report.failed_kernels or spd_report.max_discrepancy() > _DIFF_TOL:
         failures["spd"] = spd_report.to_dict()
     return CheckResult(
         name="differential",
@@ -377,7 +366,7 @@ def _check_apply_modes(sweep, seed: int) -> CheckResult:
 
 
 def _check_backends(sweep, seed: int) -> CheckResult:
-    """Differential oracle over every available runtime backend.
+    """Differential oracle over every registered runtime backend.
 
     Each registered backend factorizes and solves the well-conditioned
     batches of the sweep through the ``BatchRuntime`` executor and is

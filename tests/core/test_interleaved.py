@@ -9,6 +9,9 @@ the runtime backend relies on: LU factors/permutations/``info`` and the
 TRSV sweeps are *bitwise* equal to the AoS kernels, Gauss-Huard agrees
 to rounding (its lazy update sums in a fixed order where the AoS core
 uses einsum), and the degradation policies produce identical records.
+The LAPACK kernel that fills the same LU state is pinned to raw
+``getrf`` bit for bit, and to the SoA core for the blocks it refers
+back to it.
 """
 
 import numpy as np
@@ -16,12 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg.lapack import get_lapack_funcs
+
 from repro.core import interleaved
 from repro.core import (
     BatchedMatrices,
     aos_to_soa,
     gh_factor,
     gh_solve,
+    interleaved_getrf_factor,
     interleaved_gh_factor,
     interleaved_gh_solve,
     interleaved_lu_factor,
@@ -30,6 +36,8 @@ from repro.core import (
     lu_solve,
     soa_to_aos,
 )
+
+from repro.verify.adversarial import pivot_tie_batch
 
 from tests.strategies import batch_shapes, make_batch, make_rhs, seeds
 
@@ -213,6 +221,83 @@ class TestLUParity:
             lu_solve(aos, rhs).data,
             interleaved_lu_solve(il, rhs).data,
         )
+
+
+def _raw_getrf(block: np.ndarray):
+    """LAPACK getrf of one block, with its swaps as a gather perm."""
+    (getrf,) = get_lapack_funcs(("getrf",), dtype=block.dtype)
+    lu, piv, info = getrf(block)
+    perm = np.arange(block.shape[0])
+    for k, j in enumerate(piv):
+        perm[k], perm[j] = perm[j], perm[k]
+    return lu, perm, info
+
+
+class TestGetrf:
+    """The LAPACK kernel packs ``getrf`` on each exact block into the
+    SoA state: bit for bit LAPACK's factors and swaps, identity in the
+    padding, and the SoA core's ``info`` for failed blocks."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["sizes_1_32", "pivot_ties", "float32"],
+    )
+    def test_factors_and_perm_are_raw_lapack(self, case):
+        if case == "sizes_1_32":
+            batch = BatchedMatrices.identity_padded(
+                [
+                    np.random.default_rng(m).uniform(-1, 1, (m, m))
+                    for m in range(1, 33)
+                ]
+            )
+        elif case == "pivot_ties":
+            batch = pivot_tie_batch(8, size=12, tile=16, seed=SEED)
+        else:
+            batch = make_batch(12, 16, SEED, dominant=False).astype(
+                np.float32
+            )
+        fac = interleaved_getrf_factor(batch)
+        assert fac.soa.dtype == batch.dtype
+        assert fac.ok
+        tile = batch.tile
+        for i in range(batch.nb):
+            m = int(batch.sizes[i])
+            lu, perm, info = _raw_getrf(batch.data[i, :m, :m])
+            assert info == 0
+            assert lu.dtype == batch.dtype
+            block = fac.soa[:, :, i]
+            assert block[:m, :m].tobytes() == lu.tobytes()
+            np.testing.assert_array_equal(block[m:, m:], np.eye(tile - m))
+            assert not block[:m, m:].any() and not block[m:, :m].any()
+            np.testing.assert_array_equal(fac.perm[i, :m], perm)
+            np.testing.assert_array_equal(
+                fac.perm[i, m:], np.arange(m, tile)
+            )
+
+    @pytest.mark.parametrize("temp_elements", [1 << 19, 64])
+    def test_overwrite_and_slabs_keep_bits(self, monkeypatch, temp_elements):
+        # factoring into the input's buffer and gathering the per-size
+        # stacks in slabs change where the bits go, not what they are
+        batch = make_batch(24, 16, SEED, dominant=False)
+        ref = interleaved_getrf_factor(batch)
+        monkeypatch.setattr(interleaved, "_TEMP_ELEMENTS", temp_elements)
+        work = batch.copy()
+        fac = interleaved_getrf_factor(work, overwrite=True)
+        assert np.shares_memory(fac.soa, work.data)
+        assert fac.soa.tobytes() == ref.soa.tobytes()
+        np.testing.assert_array_equal(fac.perm, ref.perm)
+
+    def test_singular_blocks_get_the_soa_core_result(self):
+        batch = make_batch(6, 8, SEED, dominant=True)
+        batch.data[2, : batch.sizes[2], : batch.sizes[2]] = 0.0
+        batch.data[4, 0, 0] = np.nan
+        ref = interleaved_lu_factor(batch)
+        fac = interleaved_getrf_factor(batch)
+        np.testing.assert_array_equal(fac.info, ref.info)
+        assert fac.info[2] and fac.info[4]
+        for i in (2, 4):
+            assert fac.soa[:, :, i].tobytes() == ref.soa[:, :, i].tobytes()
+            np.testing.assert_array_equal(fac.perm[i], ref.perm[i])
 
 
 class TestGHParity:

@@ -28,6 +28,7 @@ from repro.core.batched_gauss_jordan import gj_invert
 from repro.core.batched_cholesky import cholesky_factor
 from repro.core.batched_lu import lu_factor
 from repro.core.batched_trsv import lu_solve
+from repro.core.interleaved import interleaved_getrf_factor
 from repro.core.random_batches import random_batch
 
 from tests.strategies import make_batch, make_rhs
@@ -67,6 +68,12 @@ def test_nonfinite_pivots_flagged_property(shape, seed, bad):
         # finite factors
         clean = fac.info == 0
         assert np.isfinite(fac.factors.data[clean]).all()
+    # LAPACK getrf flags only exact-zero pivots: its kernel refactors
+    # non-finite blocks with the SoA core, so info follows lu_factor
+    implicit = lu_factor(batch.copy(), pivoting="implicit")
+    lapack = interleaved_getrf_factor(batch.copy())
+    np.testing.assert_array_equal(lapack.info, implicit.info)
+    assert np.isfinite(lapack.soa[:, :, lapack.info == 0]).all()
 
 
 @settings(max_examples=60, deadline=None)

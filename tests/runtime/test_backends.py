@@ -6,8 +6,8 @@ demotion) lives in the parameterized conformance harness
 (``tests/runtime/test_backend_conformance.py``, ``-m conformance``) -
 one suite over every registered backend instead of per-backend copies.
 This module keeps what the harness does not cover: registry mechanics
-and the Hypothesis property that bitwise-exact backends stay bitwise on
-*random* (not just adversarial) batches.
+and the Hypothesis property that ``binned`` LU stays within tolerance
+of ``numpy`` on *random* (not just adversarial) batches.
 """
 
 import numpy as np
@@ -23,30 +23,26 @@ from repro.runtime import (
     plan_batch,
     register_backend,
 )
+from repro.verify.metrics import solution_distance
 from tests.runtime.test_backend_conformance import CONTRACT, _solve_with
 from tests.strategies import batch_shapes, make_batch, make_rhs, seeds
 
-#: backends whose LU execution must be bitwise-identical to numpy,
-#: straight from the conformance contract
-EXACT = sorted(
-    name
-    for name, c in CONTRACT.items()
-    if name != "numpy" and "lu" in c.exact_methods
-)
 
-
-class TestBitwiseProperty:
-    @pytest.mark.parametrize("name", EXACT)
+class TestToleranceProperty:
+    @pytest.mark.conformance
     @given(batch_shapes, seeds)
     @settings(max_examples=25, deadline=None)
-    def test_exact_backends_are_bitwise_numpy_on_random_batches(
-        self, name, shape, seed
-    ):
+    def test_binned_lu_tracks_numpy_on_random_batches(self, shape, seed):
+        # binned LU runs LAPACK getrf, so it is not bitwise numpy; on
+        # non-dominant random batches it is held to the scipy row's
+        # tolerance
         batch = make_batch(*shape, seed, dominant=False)
         rhs = make_rhs(batch, seed + 1)
         _, ref = _solve_with("numpy", batch, rhs)
-        _, sol = _solve_with(name, batch, rhs)
-        np.testing.assert_array_equal(sol.data, ref.data)
+        _, sol = _solve_with("binned", batch, rhs)
+        assert float(solution_distance(sol, ref).max()) <= (
+            CONTRACT["scipy"].tol
+        )
 
 
 class TestRegistry:
@@ -81,8 +77,6 @@ class TestRegistry:
             BACKENDS.pop("dummy-test-backend", None)
 
     def test_scipy_backend_is_lu_only(self):
-        if "scipy" not in available_backends():
-            pytest.skip("scipy not installed")
         batch = random_batch(4, size=4, kind="diag_dominant", seed=0)
         with pytest.raises(ValueError, match="method='lu' only"):
             get_backend("scipy").factorize(plan_batch(batch), method="gh")
@@ -102,6 +96,18 @@ class TestRegistry:
             "lu": True, "gh": True, "ght": True,
             "gje": False, "cholesky": False,
         }
+
+    def test_binned_lu_factors_into_each_bins_buffer(self):
+        # the LAPACK kernel writes its factors over the bin's private
+        # batch copy instead of allocating fresh factor storage
+        batch = random_batch(64, size_range=(1, 32),
+                             kind="diag_dominant", seed=0)
+        plan = plan_batch(batch)
+        assert len(plan.bins) > 1
+        fac = get_backend("binned").factorize(plan, method="lu")
+        _, facs = fac.state
+        for b, f in zip(plan.bins, facs):
+            assert np.shares_memory(f.soa, b.batch.data)
 
     def test_unknown_method_rejected(self):
         plan = plan_batch(random_batch(4, size=4, seed=0))

@@ -84,6 +84,16 @@ class TestPaddingAccounting:
         assert rep.padded_flops == rep.monolithic_padded_flops
         assert rep.flops_saved == 0
 
+    def test_binned_lu_pads_nothing_but_gh_does(self):
+        # binned lu runs getrf at each block's exact size; the SoA
+        # Gauss-Huard sweep runs every bin at its tight tile
+        batch = _mixed_batch()
+        rt = BatchRuntime(backend="binned", cache=False)
+        rt.factorize(batch, method="lu")
+        assert rt.last_report.padding_waste == 0
+        rt.factorize(batch, method="gh")
+        assert rt.last_report.padding_waste > 0
+
     def test_numpy_backend_reports_single_monolithic_bin(self):
         rt = BatchRuntime(backend="numpy")
         rt.factorize(_mixed_batch())
@@ -93,10 +103,6 @@ class TestPaddingAccounting:
         assert rep.padded_flops == rep.monolithic_padded_flops
 
     def test_scipy_backend_reports_zero_waste(self):
-        from repro.runtime import available_backends
-
-        if "scipy" not in available_backends():
-            pytest.skip("scipy not installed")
         rt = BatchRuntime(backend="scipy")
         rt.factorize(_mixed_batch())
         assert rt.last_report.padding_waste == 0

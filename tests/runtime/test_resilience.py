@@ -36,8 +36,8 @@ class FlakyBackend(Backend):
     def solve(self, state, plan, rhs):
         return self.inner.solve(state, plan, rhs)
 
-    def bin_stats(self, plan):
-        return self.inner.bin_stats(plan)
+    def bin_stats(self, plan, method):
+        return self.inner.bin_stats(plan, method)
 
 
 def mixed_singular_batch(seed=0):

@@ -90,6 +90,36 @@ class TestCrossThreadParentage:
         (engine_flush,) = spans["serving.flush"]
         assert launch.parent_id == engine_flush.span_id
 
+    def test_request_spans_keep_the_threads_they_were_stamped_on(self):
+        """Per-request spans are written from stamps when the trace is
+        read; each still names the thread that did the work."""
+
+        async def main():
+            eng = CoalescingEngine()
+            svc = PreconditionerService(eng, max_delay=60.0)
+            fut = asyncio.ensure_future(
+                svc.submit(solve_request("t", seed=5))
+            )
+            await asyncio.sleep(0)
+            await svc.flush()
+            return await fut
+
+        with tracing() as tr:
+            resp = asyncio.run(main())
+        assert resp.status == "ok"
+        spans = _by_name(tr)
+        (service_flush,) = spans["serving.service.flush"]
+        (engine_flush,) = spans["serving.flush"]
+        (deliver,) = spans["serving.deliver"]
+        submitted = [
+            spans[name][0]
+            for name in ("serving.admit", "serving.request", "serving.queue")
+        ]
+        # submit ran on the event loop, delivery in the flush worker
+        assert {s.tid for s in submitted} == {service_flush.tid}
+        assert deliver.tid == engine_flush.tid != service_flush.tid
+        assert all(s.end is not None for s in submitted + [deliver])
+
 
 class TestServingSpanTopology:
     def _run(self, n=3):

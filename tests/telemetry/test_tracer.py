@@ -213,6 +213,60 @@ class TestLinks:
         assert span is _NULL_SPAN
 
 
+class TestStamps:
+    def test_record_writes_spans_from_earlier_stamps(self):
+        clock = FakeClock()
+        tr = Tracer(clock=clock)
+        start = tr.now()
+        clock.advance(1.0)
+        mid = tr.now()
+        clock.advance(2.0)
+        with tr.span("ambient"):
+            done = tr.record("done", start=start, end=mid, k=1)
+            env = tr.record("env", start=start, parent=done, tid=7)
+        assert (done.start, done.end, done.attrs) == (0.0, 1.0, {"k": 1})
+        # explicit parentage only: None is a root, never the ambient span
+        assert done.parent_id is None
+        assert env.parent_id == done.span_id and env.tid == 7
+        assert env in tr.open_spans() and done in tr.spans()
+        tr.end_at(env, mid, outcome="ok")
+        tr.end_at(env, 99.0)  # idempotent
+        assert (env.end, env.attrs) == (1.0, {"outcome": "ok"})
+        assert not tr.open_spans()
+
+    def test_deferred_writes_run_in_order_before_any_read(self):
+        tr = Tracer(clock=FakeClock())
+        start = tr.now()
+        written = []
+        for name in ("a", "b"):
+            tr.defer(
+                lambda t, name=name: written.append(
+                    t.record(name, start=start, end=start)
+                )
+            )
+        assert written == []  # nothing runs until the tracer is read
+        assert [s.name for s in tr.spans()] == ["a", "b"]
+        assert tr.spans() == written  # each write runs once
+
+    def test_deferred_open_span_is_seen_open(self):
+        tr = Tracer(clock=FakeClock())
+        tr.defer(lambda t: t.record("open", start=t.now()))
+        assert [s.name for s in tr.open_spans()] == ["open"]
+
+    def test_clear_drops_pending_writes(self):
+        tr = Tracer(clock=FakeClock())
+        tr.defer(lambda t: t.record("x", start=0.0, end=0.0))
+        tr.clear()
+        assert tr.spans() == []
+
+    def test_null_tracer_stamps_are_no_ops(self):
+        assert NULL_TRACER.now() == 0.0
+        assert NULL_TRACER.current_tid() == 0
+        assert NULL_TRACER.record("x", start=0.0) is _NULL_SPAN
+        assert NULL_TRACER.end_at(_NULL_SPAN, 1.0) is None
+        assert NULL_TRACER.defer(lambda t: None) is None
+
+
 class TestGlobals:
     def test_default_is_null(self):
         assert get_tracer() is NULL_TRACER
