@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Serving loop: concurrent tenants through the coalescing service.
 
-The serving scenario, one level up from a single cached runtime: many
+The serving scenario, one level up from a single batch runtime: many
 independent clients (tenants), each with its own small batch of
 diagonal blocks, submit setup/solve jobs concurrently.  The
 ``repro.serving`` stack admits them, merges compatible jobs into one
@@ -117,9 +117,9 @@ def main() -> None:
 
     # isolation spot check: coalesced answers are bit-identical to
     # solo runs of the same tenant batch
-    solo = BatchRuntime(cache=False)
+    solo = BatchRuntime()
     for req, resp in zip(rounds[0][:4], co_resp[:4]):
-        handle = solo.factorize(req.batch, use_cache=False)
+        handle = solo.factorize(req.batch)
         assert np.array_equal(handle.info, resp.info)
         assert np.array_equal(
             handle.solve(req.rhs).data, resp.solution.data

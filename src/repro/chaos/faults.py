@@ -17,10 +17,10 @@ same fault sequence every run.  A triggered hook returns a
 :class:`FaultEvent` (raising hooks attach it to the exception); the
 wrapper records them all.
 
-:func:`poison_cache` is the odd one out: it attacks a
-:class:`~repro.runtime.cache.FactorizationCache` directly, corrupting
-the factors of stored handles in place to exercise the executor's
-validation-on-hit path.
+:func:`poison_cache` is the odd one out: it attacks a tenant's
+:class:`~repro.runtime.cache.FactorizationCache` shard directly,
+corrupting the factors of stored handles in place so a cache hit has
+to be answered by the resilient handle's reference solve.
 """
 
 from __future__ import annotations
@@ -315,13 +315,17 @@ class CorruptSolveInjector(Injector):
 def poison_cache(
     cache, seed: int = 0, mode: str = "nan", limit: int | None = None
 ) -> int:
-    """Corrupt the stored factors of cached handles in place.
+    """Corrupt the stored factors of a tenant shard's handles in place.
 
-    Walks up to ``limit`` entries (all by default, LRU-first) and
-    writes a NaN/Inf into one float array of each handle's backend
-    state - exactly the damage a poisoned or bit-rotted cache would
-    carry.  Returns the number of handles poisoned.  The executor's
-    validation-on-hit must evict these instead of serving them.
+    ``cache`` is one shard of
+    :class:`~repro.serving.shards.TenantCacheShards`; its entries are
+    :class:`~repro.serving.coalesce.TenantFactorization` views.  Walks
+    up to ``limit`` entries (all by default, LRU-first) and writes a
+    NaN/Inf into one float array of each view's shared backend state -
+    exactly the damage a poisoned or bit-rotted cache would carry.
+    Returns the number of handles poisoned.  A resilient runtime's
+    handle answers solves against such factors from its reference
+    factorization.
     """
     rng = np.random.default_rng([int(seed), 0xCAC4E])
     keys = cache.keys()
@@ -332,10 +336,9 @@ def poison_cache(
         handle = cache.peek(key)
         if handle is None:  # pragma: no cover - concurrent eviction
             continue
-        result = getattr(handle, "result", handle)
         # target the backend state (the stored factors), not inert
         # bookkeeping like degradation records
-        arrays = collect_float_arrays(getattr(result, "state", result))
+        arrays = collect_float_arrays(handle.shared.result.state)
         if not arrays:  # pragma: no cover
             continue
         _corrupt_arrays(

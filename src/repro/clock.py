@@ -1,7 +1,7 @@
 """One injectable-clock convention for every time-dependent subsystem.
 
-Everything in this codebase that depends on time — cache TTLs
-(:mod:`repro.runtime.cache`), circuit-breaker cooldowns
+Everything in this codebase that depends on time — the serving tenant
+shards' TTLs (:mod:`repro.serving.shards`), circuit-breaker cooldowns
 (:mod:`repro.runtime.resilience`), apply-mode autotuning
 (:mod:`repro.runtime.autotune`), serving queue-age accounting and the
 overload controllers (:mod:`repro.serving`) — takes a ``clock=``
@@ -41,7 +41,7 @@ class ScriptedClock:
     """Manually advanced monotonic clock (callable, seconds).
 
     Injected wherever the stack takes a ``clock=``: queue-age
-    accounting, cache TTLs, breaker cooldowns, deadline and overload
+    accounting, tenant-shard TTLs, breaker cooldowns, deadline and overload
     decisions then step only when the driver says so, making
     time-dependent behaviour replayable.
     """

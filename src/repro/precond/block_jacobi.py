@@ -126,10 +126,10 @@ class BlockJacobiPreconditioner(Preconditioner):
         factorization and solves.  ``backend`` names a registered
         backend (``"binned"``, ``"numpy"``, ``"scipy"``) and builds a
         private :class:`~repro.runtime.BatchRuntime` for it;
-        ``runtime`` shares an existing one (and with it its
-        factorization cache - the serving scenario where repeated
-        setups on the same matrix skip refactorization).  With both
-        None (the default) a private ``binned`` runtime runs.  The
+        ``runtime`` shares an existing one (with its fallback chain
+        and circuit breakers).  Every setup factorizes; the runtime
+        keeps no cache.  With both None (the default) a private
+        ``binned`` runtime runs.  The
         call's :class:`~repro.runtime.RuntimeReport` lands in
         ``runtime_report``.
 
@@ -423,14 +423,13 @@ class BlockJacobiPreconditioner(Preconditioner):
         """Refactorize from the matrix of the last ``setup`` call.
 
         The solver watchdog's restart hook: when a solve stagnates or
-        diverges under a possibly-poisoned setup, this drops any cached
-        factorization of the diagonal blocks (the cache entry is the
-        prime suspect) and runs the full setup again.  A no-op target
-        for callers that never called ``setup``.
+        diverges under a possibly-damaged setup, this runs the full
+        setup again, so the diagonal blocks are extracted and
+        factorized afresh.  Raises for callers that never called
+        ``setup``.
         """
         if getattr(self, "_matrix", None) is None:
             raise RuntimeError("setup() must be called before rebuild()")
-        self._runtime.invalidate()
         return self.setup(self._matrix)
 
     def apply(self, x: np.ndarray) -> np.ndarray:

@@ -134,14 +134,12 @@ class SetupReport:
     @property
     def degraded_execution(self) -> bool:
         """True when the setup survived an execution fault (backend
-        fallback, bin quarantine, or a poisoned cache entry) - distinct
+        fallback or bin quarantine) - distinct
         from *numerical* degradation (``n_fallbacks``)."""
         if self.runtime is None:
             return False
         return bool(
-            self.runtime.fallback_events
-            or self.runtime.quarantined_bins
-            or self.runtime.cache_poisoned
+            self.runtime.fallback_events or self.runtime.quarantined_bins
         )
 
     @property
@@ -232,31 +230,19 @@ class SetupReport:
             )
         if self.runtime is not None:
             rt = self.runtime
-            if rt.cache_hit:
-                lines.append(
-                    f"  runtime[{rt.backend}]: factorization served from "
-                    "cache"
-                )
-            else:
-                mono = rt.monolithic_padded_flops
-                pct = 100.0 * rt.flops_saved / mono if mono else 0.0
-                lines.append(
-                    f"  runtime[{rt.backend}]: {len(rt.bins)} size bin(s), "
-                    f"padded flops {rt.padded_flops} "
-                    f"({pct:.1f}% below monolithic)"
-                )
+            mono = rt.monolithic_padded_flops
+            pct = 100.0 * rt.flops_saved / mono if mono else 0.0
+            lines.append(
+                f"  runtime[{rt.backend}]: {len(rt.bins)} size bin(s), "
+                f"padded flops {rt.padded_flops} "
+                f"({pct:.1f}% below monolithic)"
+            )
             if self.degraded_execution:
                 used = rt.backend_used or rt.backend
                 lines.append(
                     f"  resilience: {len(rt.fallback_events)} fallback "
                     f"event(s), {len(rt.quarantined_bins)} quarantined "
-                    f"bin(s)"
-                    + (
-                        ", poisoned cache entry evicted"
-                        if rt.cache_poisoned
-                        else ""
-                    )
-                    + f"; factors produced by {used}"
+                    f"bin(s); factors produced by {used}"
                 )
         return "\n".join(lines)
 

@@ -1,6 +1,6 @@
 """repro.runtime - the execution subsystem between kernels and callers.
 
-Four parts (see DESIGN.md, "Runtime"):
+Its parts (see DESIGN.md, "Runtime"):
 
 * :mod:`~repro.runtime.planner` - size-binned execution planning of
   variable-size batches at the paper's warp-tile ladder (4/8/16/32),
@@ -9,8 +9,9 @@ Four parts (see DESIGN.md, "Runtime"):
   (``binned``, ``numpy``, ``scipy``), one
   ``factorize(plan)/solve(plan, rhs)`` protocol, cross-checkable via
   :mod:`repro.verify`;
-* :mod:`~repro.runtime.cache` - the content-fingerprinted
-  factorization cache with hit/miss/eviction counters;
+* :mod:`~repro.runtime.cache` - the content-fingerprinted LRU/TTL
+  cache the serving layer's per-tenant shards store handles in (the
+  runtime itself keeps no cache);
 * :mod:`~repro.runtime.stats` - per-stage wall time and per-bin
   padding-waste instrumentation (:class:`RuntimeReport`);
 * :mod:`~repro.runtime.resilience` - circuit breakers, the corruption
@@ -22,7 +23,7 @@ Entry point::
     from repro.runtime import BatchRuntime
 
     rt = BatchRuntime(backend="binned")       # the default
-    fac = rt.factorize(batch, method="lu")    # planned, binned, cached
+    fac = rt.factorize(batch, method="lu")    # planned and binned
     x = fac.solve(rhs)
     print(rt.last_report.summary())
 """

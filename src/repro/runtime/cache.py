@@ -1,43 +1,38 @@
 """Content-addressed factorization cache with LRU/TTL/byte eviction.
 
-The heavy-traffic serving scenario of the ROADMAP re-runs the
-block-Jacobi setup on the *same* matrix over and over (every solve of a
-time-step sequence, every request against a cached system).  The
-factorization is the expensive part of setup, and it depends only on
-the extracted diagonal blocks - so a content fingerprint of the block
-batch (geometry + data hash) is a sound cache key: equal fingerprint
-implies equal input bytes implies bit-identical factors.
+The store behind the serving layer's per-tenant shards
+(:class:`~repro.serving.shards.TenantCacheShards`): a tenant that
+submits the same block batch again is answered from its shard instead
+of a new launch.  A content fingerprint of the block batch (geometry +
+data hash, :func:`batch_fingerprint`) is a sound key: equal
+fingerprint implies equal input bytes implies bit-identical factors.
 
 The cache is deliberately dumb and observable: a bounded LRU mapping
 ``fingerprint -> factorization handle`` with hit/miss/eviction counters
-and explicit invalidation.  It never inspects the handles it stores -
-entry *validation* (fingerprint re-check, finite-factor spot check) is
-the executor's job on hit; a validation failure is reported back as
-:meth:`FactorizationCache.evict_poisoned` so the counters tell the
-story.
+and explicit invalidation.  It never inspects the handles it stores.
 
 Three eviction axes, each with its own reason counter (``capacity``,
 ``ttl``, ``bytes``) in the stats and the metrics registry:
 
 * **capacity** - inserting beyond ``max_entries`` evicts LRU entries
-  (the historical behaviour, always on);
+  (always on);
 * **ttl** - entries older than ``ttl_seconds`` are dropped lazily on
   lookup and eagerly on insert (a serving deployment must not serve a
   factorization of data the tenant has long replaced);
 * **bytes** - when ``max_bytes`` is set, inserts evict LRU entries
-  until the tracked byte total fits the budget (per-tenant shards of
-  the serving layer give every tenant a bounded memory footprint).
+  until the tracked byte total fits the budget (per-tenant shards give
+  every tenant a bounded memory footprint).
 
 Entry sizes come from the stored value's ``nbytes`` attribute
 (:class:`~repro.runtime.executor.RuntimeFactorization` provides an
 estimate) or an explicit ``nbytes=`` at :meth:`put`; valueless objects
 count as zero bytes.
 
-All operations are guarded by one :class:`threading.Lock`: a shared
-runtime is reachable from multiple request threads at once (the
-serving layer's flush worker among them), and the ``OrderedDict``
-reordering in ``get``/``put`` is not atomic on its own.  The clock is injectable
-(monotonic seconds) so TTL tests can step time deterministically.
+All operations are guarded by one :class:`threading.Lock`: a shard is
+reachable from the submitting threads and the serving layer's flush
+worker at once, and the ``OrderedDict`` reordering in ``get``/``put``
+is not atomic on its own.  The clock is injectable (monotonic seconds)
+so TTL tests can step time deterministically.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ __all__ = [
     "batch_fingerprint",
 ]
 
-#: why an entry can be evicted (beyond explicit invalidation/poisoning)
+#: why an entry can be evicted (beyond explicit invalidation)
 EVICTION_REASONS = ("capacity", "ttl", "bytes")
 
 
@@ -86,8 +81,8 @@ def batch_fingerprint(
 
     Hashes the geometry (``nb``, ``tile``, dtype), the active sizes and
     the full padded data buffer with SHA-1.  ``extra`` mixes additional
-    discriminators into the key (the executor adds backend name,
-    method, policy and bin ladder, so one cache can serve them all
+    discriminators into the key (the serving engine adds tenant,
+    method, policy and apply mode, so one shard can serve them all
     without collisions).
     """
     h = hashlib.sha1()
@@ -137,7 +132,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    poisoned: int = 0
     entries: int = 0
     max_entries: int = 0
     bytes: int = 0
@@ -160,7 +154,6 @@ class CacheStats:
             "evictions": self.evictions,
             "eviction_reasons": dict(self.eviction_reasons),
             "invalidations": self.invalidations,
-            "poisoned": self.poisoned,
             "entries": self.entries,
             "max_entries": self.max_entries,
             "bytes": self.bytes,
@@ -223,7 +216,6 @@ class FactorizationCache:
         self._misses = 0
         self._evictions = {reason: 0 for reason in EVICTION_REASONS}
         self._invalidations = 0
-        self._poisoned = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -336,21 +328,6 @@ class FactorizationCache:
         _count("invalidation", n)
         return n
 
-    def evict_poisoned(self, key: str) -> bool:
-        """Drop an entry that failed validation on hit.
-
-        Counted separately from explicit invalidations so poisoning
-        shows up in the stats; returns whether the key was present.
-        """
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            present = entry is not None
-            if present:
-                self._bytes -= entry.nbytes
-                self._poisoned += 1
-        _count("poisoned", int(present))
-        return present
-
     def keys(self) -> list[str]:
         """Current keys, LRU-first (a snapshot, not a live view)."""
         with self._lock:
@@ -379,7 +356,6 @@ class FactorizationCache:
                 misses=self._misses,
                 evictions=sum(self._evictions.values()),
                 invalidations=self._invalidations,
-                poisoned=self._poisoned,
                 entries=len(self._entries),
                 max_entries=self.max_entries,
                 bytes=self._bytes,

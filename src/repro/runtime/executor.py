@@ -1,26 +1,25 @@
-"""The batch runtime: plan -> (cache?) -> backend dispatch -> report.
+"""The batch runtime: plan -> backend dispatch -> report.
 
 :class:`BatchRuntime` is the execution subsystem between the batched
 kernels and everything that calls them (the block-Jacobi
 preconditioner, the CLI, the serving engine).  One ``factorize`` call:
 
-1. fingerprints the batch (when caching is on) and returns the cached
-   handle on a hit - the serving scenario where the same matrix is set
-   up repeatedly skips refactorization entirely; in resilient mode the
-   hit is *validated* first (fingerprint re-check + finite-factor spot
-   check) and a poisoned entry is evicted and refactorized instead of
-   served;
-2. plans the size-binned execution (:mod:`repro.runtime.planner`);
-3. dispatches the plan to the selected backend
+1. plans the size-binned execution (:mod:`repro.runtime.planner`);
+2. dispatches the plan to the selected backend
    (:mod:`repro.runtime.backends`), surviving execution faults when
    resilience is configured: a raising or corrupting backend first
    gets its failing bins quarantined to the reference ``numpy``
    backend (healthy bins keep their fast path), then the configured
    fallback chain takes the whole batch, with a per-backend circuit
    breaker deciding who may even be tried;
+3. builds explicit inverses when the apply mode asks for them;
 4. emits a :class:`~repro.runtime.stats.RuntimeReport` with per-stage
    wall time, per-bin padding-waste counters, and every resilience
    event that occurred.
+
+Every call factorizes: the runtime keeps no factorization cache.  The
+serving layer caches per tenant
+(:class:`~repro.serving.shards.TenantCacheShards`).
 
 The returned :class:`RuntimeFactorization` handle answers ``solve``
 calls (timed into the same report) and exposes the merged
@@ -55,7 +54,7 @@ from .backends import (
     merge_bin_status,
 )
 from .autotune import tune_apply_mode
-from .cache import CacheStats, FactorizationCache, batch_fingerprint
+from .cache import CacheStats
 from .planner import DEFAULT_BINS, ExecutionPlan, plan_batch
 from .resilience import (
     COMPOSITE_BACKEND,
@@ -76,6 +75,16 @@ __all__ = ["APPLY_MODES", "BatchRuntime", "RuntimeFactorization"]
 #: (triangular sweeps), via explicit inverses (one batched GEMV per
 #: bin), or measured per bin at setup time
 APPLY_MODES = ("factor", "inverse", "auto")
+
+
+def _no_cache(name: str, value) -> None:
+    """Reject a request for runtime caching: only ``False`` is valid."""
+    if value is not False:
+        raise TypeError(
+            f"{name}={value!r}: BatchRuntime keeps no factorization "
+            "cache; cache per tenant with "
+            "repro.serving.TenantCacheShards"
+        )
 
 
 def _note_fallback(report: RuntimeReport, event: dict) -> None:
@@ -105,8 +114,7 @@ class RuntimeFactorization:
 
     Carries the plan it was executed under, the backend's opaque state,
     and the merged source-ordered status.  ``report`` describes the
-    call that *created* the handle (cache hits hand out the same handle
-    and describe themselves in ``BatchRuntime.last_report``).
+    call that created the handle.
 
     In resilient mode a solve that raises or returns non-finite output
     on healthy blocks falls back to a lazily-built reference
@@ -119,7 +127,6 @@ class RuntimeFactorization:
     method: str
     result: BackendFactorization
     report: RuntimeReport
-    fingerprint: str | None = None
     on_singular: OnSingular | None = None
     resilient: bool = False
     apply_mode: str = "factor"
@@ -155,7 +162,8 @@ class RuntimeFactorization:
         """Estimated resident bytes of this handle: the pristine source
         copy, the per-bin factor storage (backends factor the plan's
         bin batches in place, so their buffers *are* the factors), and
-        any explicit inverses.  Used by the cache's byte budget."""
+        any explicit inverses.  Used by the tenant shards' byte
+        budget."""
         total = int(self.plan.source.data.nbytes)
         total += int(self.plan.source.sizes.nbytes)
         for b in self.plan.bins:
@@ -283,7 +291,7 @@ class RuntimeFactorization:
 
 
 class BatchRuntime:
-    """Size-binned, multi-backend, caching executor for batched kernels.
+    """Size-binned, multi-backend executor for batched kernels.
 
     Parameters
     ----------
@@ -298,12 +306,6 @@ class BatchRuntime:
     tight:
         Execute bins at the largest size present instead of the
         nominal ceiling (default True; see the planner).
-    cache:
-        ``True`` (default) creates a private
-        :class:`~repro.runtime.cache.FactorizationCache`; ``False``
-        disables caching; an existing cache instance is shared.
-    cache_entries:
-        Capacity of the private cache when ``cache=True``.
     fallback:
         Ordered fallback chain of backend names (or instances) tried
         when the primary backend fails on the whole batch, e.g.
@@ -317,15 +319,8 @@ class BatchRuntime:
         resilience is configured (``fallback`` given or ``validate``
         forced on).
     validate:
-        Run the finite-factor spot check on factorization results,
-        cache hits, and solve outputs.  Defaults to match
-        ``quarantine``.
-    cache_degraded:
-        Whether handles whose ``result.ok`` is False (degraded or
-        still-singular batches) may be cached (default True, the
-        historical behaviour).  Handles produced while a chaos
-        injector, a fallback, or the quarantine path was active are
-        never cached regardless.
+        Run the finite-factor spot check on factorization results
+        and solve outputs.  Defaults to match ``quarantine``.
     breaker_threshold, breaker_cooldown:
         Per-backend circuit breaker: consecutive failures that trip it
         open, and seconds before a half-open probe is allowed.
@@ -336,9 +331,7 @@ class BatchRuntime:
     ----------
     last_report:
         The :class:`~repro.runtime.stats.RuntimeReport` of the most
-        recent ``factorize`` call (on cache hits this is a fresh
-        report flagged ``cache_hit=True``; the handle keeps the report
-        of the call that factorized).
+        recent ``factorize`` call.
     """
 
     def __init__(
@@ -346,30 +339,21 @@ class BatchRuntime:
         backend: str | Backend = "binned",
         bins=DEFAULT_BINS,
         tight: bool = True,
-        cache: bool | FactorizationCache = True,
-        cache_entries: int = 32,
+        cache: bool = False,  # benchmarks/e2e/workloads.py passes False
         fallback: Sequence[str | Backend] | None = None,
         quarantine: bool | None = None,
         validate: bool | None = None,
-        cache_degraded: bool = True,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
         clock=time.monotonic,
     ):
+        _no_cache("cache", cache)
         if isinstance(backend, Backend):
             self.backend = backend
         else:
             self.backend = get_backend(backend)
         self.bins = None if bins is None else tuple(int(b) for b in bins)
         self.tight = bool(tight)
-        if cache is True:
-            self.cache: FactorizationCache | None = FactorizationCache(
-                max_entries=cache_entries
-            )
-        elif cache is False:
-            self.cache = None
-        else:
-            self.cache = cache
         self._fallbacks: list[Backend] = []
         if fallback is not None:
             seen = {self.backend.name}
@@ -388,7 +372,6 @@ class BatchRuntime:
             if validate is None
             else bool(validate)
         )
-        self.cache_degraded = bool(cache_degraded)
         self._breakers = BreakerBoard(
             failure_threshold=breaker_threshold,
             cooldown_seconds=breaker_cooldown,
@@ -408,37 +391,18 @@ class BatchRuntime:
 
     # -- execution --------------------------------------------------------
 
-    def _cache_key(
-        self,
-        batch: BatchedMatrices,
-        method: str,
-        on_singular,
-        apply_mode: str = "factor",
-    ) -> str:
-        return batch_fingerprint(
-            batch,
-            extra=(
-                self.backend.name,
-                method,
-                on_singular,
-                self.bins,
-                self.tight,
-                apply_mode,
-            ),
-        )
-
     def factorize(
         self,
         batch: BatchedMatrices,
         method: str = "lu",
         on_singular: OnSingular | None = None,
-        use_cache: bool = True,
+        use_cache: bool = False,  # benchmarks/e2e/workloads.py passes False
         apply_mode: str = "factor",
     ) -> RuntimeFactorization:
-        """Factorize a batch through plan -> cache -> backend.
+        """Factorize a batch through plan -> backend.
 
-        The source batch is never mutated (fingerprints stay valid and
-        callers keep their data).  Raises
+        The source batch is never mutated (callers keep their data, and
+        tenant-cache keys over it stay valid).  Raises
         :class:`~repro.core.degradation.SingularBlockError` under
         ``on_singular="raise"`` with the merged source-ordered status,
         and :class:`~repro.runtime.resilience.RuntimeExecutionError`
@@ -454,6 +418,7 @@ class BatchRuntime:
         unresolved, the handle falls back to the factor apply and the
         deviation is recorded on the report.
         """
+        _no_cache("use_cache", use_cache)
         if method not in METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {METHODS}"
@@ -485,8 +450,7 @@ class BatchRuntime:
         )
         try:
             handle = self._factorize_inner(
-                batch, method, on_singular, use_cache, apply_mode,
-                report, top,
+                batch, method, on_singular, apply_mode, report
             )
         finally:
             if top is not None:
@@ -494,41 +458,13 @@ class BatchRuntime:
         return handle
 
     def _factorize_inner(
-        self, batch, method, on_singular, use_cache, apply_mode,
-        report, top,
+        self, batch, method, on_singular, apply_mode, report
     ) -> RuntimeFactorization:
         timer = report.timer()
-        key = None
-        if self.cache is not None and use_cache:
-            with timer.stage("fingerprint"):
-                key = self._cache_key(
-                    batch, method, on_singular, apply_mode
-                )
-            cached = self.cache.get(key)
-            if cached is not None:
-                if not self.validate or self._validate_cached(
-                    cached, key, method, on_singular, apply_mode
-                ):
-                    report.cache_hit = True
-                    report.bins = list(cached.report.bins)
-                    report.backend_used = cached.report.backend_used
-                    report.effective_apply_mode = (
-                        cached.effective_apply_mode
-                    )
-                    report.apply_tuning = cached.report.apply_tuning
-                    if top is not None:
-                        top.set(cache_hit=True)
-                    self.last_report = report
-                    return cached
-                self.cache.evict_poisoned(key)
-                report.cache_poisoned = True
-            report.cache_hit = False
-            if top is not None:
-                top.set(cache_hit=False)
         with timer.stage("plan"):
             plan = plan_batch(batch, bins=self.bins, tight=self.tight)
         with timer.stage("factor"):
-            result, producer, tainted = self._execute(
+            result, producer = self._execute(
                 plan, method, on_singular, report
             )
         if producer is COMPOSITE_BACKEND:
@@ -561,19 +497,12 @@ class BatchRuntime:
             method=method,
             result=result,
             report=report,
-            fingerprint=key,
             on_singular=on_singular,
             resilient=self.resilient,
             apply_mode=apply_mode,
             effective_apply_mode=effective_mode,
             inverse=inverse,
         )
-        if (
-            key is not None
-            and not tainted
-            and (self.cache_degraded or result.ok)
-        ):
-            self.cache.put(key, handle)
         self.last_report = report
         return handle
 
@@ -635,30 +564,22 @@ class BatchRuntime:
 
     # -- resilient execution ----------------------------------------------
 
-    def _backend_faults(self, backend: Backend) -> tuple:
-        """Per-call fault events a chaos wrapper exposes (empty for
-        real backends)."""
-        return tuple(getattr(backend, "last_faults", ()))
-
     def _execute(
         self,
         plan: ExecutionPlan,
         method: str,
         on_singular,
         report: RuntimeReport,
-    ) -> tuple[BackendFactorization, Backend, bool]:
+    ) -> tuple[BackendFactorization, Backend]:
         """Run the plan to a usable factorization.
 
-        Returns ``(result, producing_backend, tainted)`` where
-        ``tainted`` means a fault was injected or a resilience path was
-        taken (such handles are never cached).  Non-resilient runtimes
-        take the single direct call, preserving historical semantics
-        exactly.
+        Returns ``(result, producing_backend)``.  Non-resilient
+        runtimes take the single direct call, preserving historical
+        semantics exactly.
         """
         if not self.resilient:
             result = self.backend.factorize(plan, method, on_singular)
-            return result, self.backend, False
-        tainted = False
+            return result, self.backend
         last_err: BaseException | None = None
         chain = [self.backend] + self._fallbacks
         for position, backend in enumerate(chain):
@@ -675,7 +596,6 @@ class BatchRuntime:
                 continue
             breaker = self._breakers.breaker(backend.name)
             if not breaker.allow():
-                tainted = True
                 _note_fallback(
                     report,
                     {
@@ -696,7 +616,6 @@ class BatchRuntime:
                 raise
             except Exception as err:
                 breaker.record_failure()
-                tainted = True
                 last_err = err
                 _note_fallback(
                     report,
@@ -711,18 +630,14 @@ class BatchRuntime:
                         plan, method, on_singular, backend, report
                     )
                     if out is not None:
-                        return out, COMPOSITE_BACKEND, True
+                        return out, COMPOSITE_BACKEND
                 continue
-            faults = self._backend_faults(backend)
-            if faults:
-                tainted = True
             if self.validate:
                 bad = spot_check_factorization(
                     backend, result.state, plan, result.info
                 )
                 if bad.any():
                     breaker.record_failure()
-                    tainted = True
                     _note_fallback(
                         report,
                         {
@@ -737,12 +652,12 @@ class BatchRuntime:
                             plan, method, on_singular, backend, report
                         )
                         if out is not None:
-                            return out, COMPOSITE_BACKEND, True
+                            return out, COMPOSITE_BACKEND
                     continue
             breaker.record_success()
             if position > 0:
                 report.backend_used = backend.name
-            return result, backend, tainted
+            return result, backend
         raise RuntimeExecutionError(
             f"no backend could factorize the batch (tried "
             f"{[b.name for b in chain]}; "
@@ -850,59 +765,16 @@ class BatchRuntime:
         report.backend_used = f"{primary.name}+quarantine"
         return result
 
-    def _validate_cached(
-        self,
-        handle: RuntimeFactorization,
-        key: str,
-        method: str,
-        on_singular,
-        apply_mode: str = "factor",
-    ) -> bool:
-        """Entry validation on hit: the stored source must still hash to
-        the lookup key, the stored factors must pass the finite spot
-        check, and any stored explicit inverses must still be finite.
-        Any failure means the entry was poisoned (or mutated in place)
-        and must not be served."""
-        try:
-            fp = self._cache_key(
-                handle.plan.source, method, on_singular, apply_mode
-            )
-        except Exception:
-            return False
-        if fp != key:
-            return False
-        bad = spot_check_factorization(
-            handle.backend, handle.result.state, handle.plan,
-            handle.result.info,
-        )
-        if bad.any():
-            return False
-        if handle.inverse is not None:
-            for state in handle.inverse.units():
-                if state is not None and not np.isfinite(
-                    state.inverses.data
-                ).all():
-                    return False
-        return True
-
-    # -- cache management -------------------------------------------------
-
     @property
-    def cache_stats(self) -> CacheStats | None:
-        return None if self.cache is None else self.cache.stats
-
-    def invalidate(self, key: str | None = None) -> int:
-        """Explicitly drop cached factorizations (all when ``key`` is
-        None).  No-op (returning 0) when caching is disabled."""
-        return 0 if self.cache is None else self.cache.invalidate(key)
+    def cache_stats(self) -> CacheStats:  # read by benchmarks/e2e/workloads.py
+        """All zero: the runtime keeps no cache."""
+        return CacheStats()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        cache = "off" if self.cache is None else repr(self.cache)
         chain = "+".join(
             [self.backend.name] + [b.name for b in self._fallbacks]
         )
         return (
             f"BatchRuntime(backend={chain!r}, bins={self.bins}, "
-            f"tight={self.tight}, quarantine={self.quarantine}, "
-            f"cache={cache})"
+            f"tight={self.tight}, quarantine={self.quarantine})"
         )

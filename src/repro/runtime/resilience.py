@@ -3,7 +3,7 @@
 The serving scenario of the ROADMAP cannot afford the historical
 failure mode of :class:`~repro.runtime.executor.BatchRuntime`: one
 raising backend call (a broken extension, an injected fault from
-:mod:`repro.chaos`, a poisoned cache entry) aborted the whole
+:mod:`repro.chaos`) aborted the whole
 ``factorize`` even when every other size bin was healthy.  This module
 provides the three mechanisms the executor composes into a survivable
 pipeline:
@@ -18,8 +18,7 @@ pipeline:
   and flag blocks that produce non-finite output despite a clean
   ``info``.  Healthy factors of finite blocks always yield finite
   solutions, so a flagged block proves the *stored factors* (not the
-  input) are damaged - exactly what NaN-corruption faults and poisoned
-  cache entries look like;
+  input) are damaged - exactly what NaN-corruption faults look like;
 * :func:`single_bin_plan` / :class:`BinExecution` /
   :class:`CompositeBinBackend` - the quarantine machinery: a failing or
   corrupted size bin is re-executed in isolation (first on the primary

@@ -5,7 +5,7 @@ one :class:`RuntimeReport`: which backend ran, how long each stage took
 (planning, factorization, and any solves executed against the handle),
 how the batch was binned, how many flops the binned execution charged
 versus the useful work and versus the monolithic single-tile loop, and
-whether the factorization cache answered.  The report is the layer the
+every resilience event.  The report is the layer the
 acceptance checks and the preconditioner's ``SetupReport`` read -
 nothing in the numerical path depends on it.
 """
@@ -134,11 +134,9 @@ class RuntimeReport:
         source tile; the per-block ``scipy`` backend reports its bins
         with ``padded_flops == useful_flops`` (LAPACK pads nothing).
     stage_seconds:
-        Accumulated wall time per stage: ``"plan"``, ``"fingerprint"``,
-        ``"factor"``, ``"solve"`` (present only for stages that ran).
-    cache_hit:
-        None when caching is off, else whether the factorization was
-        served from the cache (a hit skips plan + factor entirely).
+        Accumulated wall time per stage: ``"plan"``, ``"factor"``,
+        ``"invert"``, ``"tune"``, ``"solve"`` (present only for stages
+        that ran).
     backend_used:
         The backend that actually produced the factors when the
         resilient executor had to deviate from the configured one
@@ -154,9 +152,6 @@ class RuntimeReport:
     solves, solve_fallbacks:
         How many solves the handle answered, and how many of those had
         to fall back to the reference factorization.
-    cache_poisoned:
-        True when a cache hit failed entry validation and the entry
-        was evicted and refactorized instead of served.
     apply_mode, effective_apply_mode:
         The apply mode requested for the handle and the one actually
         in force (``"factor"`` when the inverse could not be built or
@@ -177,13 +172,12 @@ class RuntimeReport:
     source_tile: int
     bins: list[BinStats] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    cache_hit: bool | None = None
+    cache_hit: bool | None = None  # read by benchmarks/e2e/layers.py
     backend_used: str | None = None
     fallback_events: list[dict] = field(default_factory=list)
     quarantined_bins: list[int] = field(default_factory=list)
     solves: int = 0
     solve_fallbacks: int = 0
-    cache_poisoned: bool = False
     breakers: dict | None = None
     apply_mode: str = "factor"
     effective_apply_mode: str = "factor"
@@ -230,7 +224,6 @@ class RuntimeReport:
                 "source_tile": self.source_tile,
                 "bins": [b.to_dict() for b in self.bins],
                 "stage_seconds": dict(self.stage_seconds),
-                "cache_hit": self.cache_hit,
                 "useful_flops": self.useful_flops,
                 "padded_flops": self.padded_flops,
                 "padding_waste": self.padding_waste,
@@ -242,7 +235,6 @@ class RuntimeReport:
                 "fallback_events": [dict(e) for e in self.fallback_events],
                 "quarantined_bins": list(self.quarantined_bins),
                 "solve_fallbacks": self.solve_fallbacks,
-                "cache_poisoned": self.cache_poisoned,
                 "breakers": self.breakers,
                 "apply_mode": self.apply_mode,
                 "effective_apply_mode": self.effective_apply_mode,
@@ -255,11 +247,6 @@ class RuntimeReport:
         lines = [
             f"runtime[{self.backend}/{self.method}]: {self.nb} blocks, "
             f"source tile {self.source_tile}"
-            + (
-                ", cache hit"
-                if self.cache_hit
-                else (", cache miss" if self.cache_hit is False else "")
-            )
         ]
         for b in self.bins:
             lines.append(
@@ -276,7 +263,7 @@ class RuntimeReport:
                 f"(saved {pct:.1f}%)"
             )
         for name in (
-            "plan", "fingerprint", "factor", "invert", "tune", "solve",
+            "plan", "factor", "invert", "tune", "solve",
         ):
             if name in self.stage_seconds:
                 lines.append(
@@ -294,14 +281,10 @@ class RuntimeReport:
                 f"event(s), {len(self.quarantined_bins)} quarantined "
                 f"bin(s), produced by {used}"
             )
-        if self.cache_poisoned:
-            lines.append(
-                "  cache: poisoned entry evicted and refactorized"
-            )
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RuntimeReport(backend={self.backend!r}, nb={self.nb}, "
-            f"bins={len(self.bins)}, cache_hit={self.cache_hit})"
+            f"bins={len(self.bins)})"
         )

@@ -33,15 +33,14 @@ admission, and a brownout ladder that demotes explicit-inverse applies,
 shrinks the service linger window, and finally reroutes the
 lowest-priority traffic to the reference backend.
 
-Fault containment: a flush whose runtime execution was tainted
-(injected fault, quarantined bins, fallback events, poisoned cache)
-still answers its requesters - the runtime already repaired the result
-through quarantine/fallback - but the resulting handles are **never**
-cached into tenant shards, mirroring the runtime's own never-cache-
-tainted rule.  Singular blocks under policy ``None``/``"raise"`` fail
-only the requests that own them; the healthy co-batched requests are
-re-merged and re-factorized once, so one tenant's bad matrix cannot
-fail a neighbour.
+Fault containment: a flush whose runtime execution was tainted (any
+fallback event or quarantined bin on the runtime report) still answers
+its requesters - the runtime already repaired the result through
+quarantine/fallback - but the resulting handles are **never** cached
+into tenant shards.  Singular blocks under policy ``None``/``"raise"``
+fail only the requests that own them; the healthy co-batched requests
+are re-merged and re-factorized once, so one tenant's bad matrix
+cannot fail a neighbour.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from ..clock import MONOTONIC, PERF
 from ..core.batch import BatchedVectors
 from ..obs.flight import FlightRecorder, get_flight_recorder
 from ..obs.slo import SLOEngine
+# benchmarks/e2e/layers.py patches this name to time the tenant key
 from ..runtime.cache import batch_fingerprint
 from ..runtime.executor import BatchRuntime
 from ..telemetry.metrics import get_metrics
@@ -90,6 +90,15 @@ def _observe_stage(stage: str, seconds: float) -> None:
         "repro_serving_stage_seconds",
         "Wall seconds per serving stage",
     ).observe(seconds, stage=stage)
+
+
+def _tainted(report) -> bool:
+    """Whether a launch survived an execution fault: its handles
+    answer their requesters but never enter a tenant shard."""
+    return bool(
+        report is not None
+        and (report.fallback_events or report.quarantined_bins)
+    )
 
 
 class _RequestStamps:
@@ -179,10 +188,8 @@ class CoalescingEngine:
     ----------
     runtime:
         The :class:`~repro.runtime.BatchRuntime` that executes merged
-        batches.  Default: a fresh runtime with its *own* cache
-        disabled - merged batches are compositions of many tenants'
-        data and must not be fingerprint-cached as a unit; caching
-        happens per tenant in the shards instead.
+        batches.  Default: a fresh ``binned`` runtime.  The runtime
+        keeps no cache; caching happens per tenant in the shards.
     max_pending:
         Queue-depth bound; submissions beyond it shed ``queue_full``.
     max_batch_blocks:
@@ -219,7 +226,7 @@ class CoalescingEngine:
         legacy behaviour.
     reference_runtime:
         Runtime for the brownout reroute lane.  Default: a lazily
-        built reference (``numpy``) runtime without caching.
+        built reference (``numpy``) runtime.
     slo:
         Optional :class:`~repro.obs.slo.SLOEngine`.  The engine feeds
         the conventional objectives it defines (``admitted_latency``
@@ -277,7 +284,7 @@ class CoalescingEngine:
                 f"max_flush_blocks must be positive, got {max_flush_blocks}"
             )
         self.runtime = (
-            BatchRuntime(cache=False) if runtime is None else runtime
+            BatchRuntime() if runtime is None else runtime
         )
         self.max_pending = int(max_pending)
         self.max_batch_blocks = int(max_batch_blocks)
@@ -350,9 +357,7 @@ class CoalescingEngine:
     def reference_runtime(self) -> BatchRuntime:
         """The brownout reroute lane (lazily built reference runtime)."""
         if self._reference_runtime is None:
-            self._reference_runtime = BatchRuntime(
-                backend="numpy", cache=False
-            )
+            self._reference_runtime = BatchRuntime(backend="numpy")
         return self._reference_runtime
 
     def _record(self, kind: str, at: float | None = None, **fields) -> None:
@@ -860,7 +865,6 @@ class CoalescingEngine:
                     merged,
                     method=req0.method,
                     on_singular=effective_policy,
-                    use_cache=False,
                     apply_mode=apply_mode,
                 )
             except Exception as err:
@@ -898,15 +902,7 @@ class CoalescingEngine:
         runtime, apply_mode, launch,
     ) -> None:
         self.stats["executions"] += 1
-        report = runtime.last_report
-        tainted = bool(
-            report is not None
-            and (
-                report.fallback_events
-                or report.quarantined_bins
-                or report.cache_poisoned
-            )
-        )
+        tainted = _tainted(runtime.last_report)
         live = list(zip(chunk, segments))
         if effective_policy is None:
             live = self._split_singular(
@@ -978,7 +974,6 @@ class CoalescingEngine:
                     merged,
                     method=req0.method,
                     on_singular=None,
-                    use_cache=False,
                     apply_mode=apply_mode,
                 )
             except Exception as err:
@@ -992,15 +987,7 @@ class CoalescingEngine:
                 return []
             seconds = prior_factor_seconds + (PERF() - t0)
             self.stats["executions"] += 1
-            report = runtime.last_report
-            tainted = bool(
-                report is not None
-                and (
-                    report.fallback_events
-                    or report.quarantined_bins
-                    or report.cache_poisoned
-                )
-            )
+            tainted = _tainted(runtime.last_report)
             self._resolve_chunk(
                 list(zip(tickets, segments)), handle, tainted, flush_id,
                 now, seconds, coalesced=(len(tickets), merged.nb),

@@ -10,9 +10,12 @@ new tenant beyond the bound evicts the least recently touched tenant's
 whole shard, so an unbounded stream of one-shot tenants cannot grow
 the process without limit.
 
+The shards are the only factorization cache in the system: the batch
+runtime factorizes on every call.
+
 Isolation contract (tested): operations on one tenant's shard -
-inserts, eviction pressure, TTL expiry, invalidation, poisoning -
-never touch another tenant's entries.
+inserts, eviction pressure, TTL expiry, invalidation - never touch
+another tenant's entries.
 """
 
 from __future__ import annotations
@@ -55,6 +58,19 @@ class TenantCacheShards:
         max_tenants: int | None = None,
         clock=time.monotonic,
     ):
+        if per_tenant_entries < 1:
+            raise ValueError(
+                f"per_tenant_entries must be positive, got "
+                f"{per_tenant_entries}"
+            )
+        if ttl_seconds is not None and ttl_seconds <= 0:
+            raise ValueError(
+                f"ttl_seconds must be positive, got {ttl_seconds}"
+            )
+        if per_tenant_bytes is not None and per_tenant_bytes < 1:
+            raise ValueError(
+                f"per_tenant_bytes must be positive, got {per_tenant_bytes}"
+            )
         if max_tenants is not None and max_tenants < 1:
             raise ValueError(
                 f"max_tenants must be positive, got {max_tenants}"
@@ -140,7 +156,6 @@ class TenantCacheShards:
             "misses": 0,
             "evictions": 0,
             "eviction_reasons": {},
-            "poisoned": 0,
         }
         for cache in shards.values():
             s = cache.stats
@@ -149,7 +164,6 @@ class TenantCacheShards:
             agg["hits"] += s.hits
             agg["misses"] += s.misses
             agg["evictions"] += s.evictions
-            agg["poisoned"] += s.poisoned
             for reason, n in s.eviction_reasons.items():
                 agg["eviction_reasons"][reason] = (
                     agg["eviction_reasons"].get(reason, 0) + n

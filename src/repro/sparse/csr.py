@@ -131,14 +131,18 @@ class CsrMatrix:
         return self.matvec(x)
 
     def diagonal(self) -> np.ndarray:
-        """Main diagonal as a dense vector (zeros where absent)."""
+        """Main diagonal as a dense vector (zeros where absent).
+
+        Vectorized: each stored entry's row is matched against its
+        column.  Canonical CSR holds at most one entry per (row,
+        column), so every diagonal slot is written at most once.
+        """
         d = np.zeros(min(self.n_rows, self.n_cols))
-        for r in range(d.size):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            seg = self.indices[lo:hi]
-            pos = np.searchsorted(seg, r)
-            if pos < seg.size and seg[pos] == r:
-                d[r] = self.values[lo + pos]
+        rows = np.repeat(
+            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
+        )
+        on_diag = self.indices == rows
+        d[rows[on_diag]] = self.values[on_diag]
         return d
 
     def transpose(self) -> "CsrMatrix":

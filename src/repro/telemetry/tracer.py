@@ -27,7 +27,7 @@ Design rules:
   layer's shared coalesced launch links to every merged per-request
   span (fan-in), and each scatter-back ``deliver`` span links back to
   the launch (fan-out).
-* Spans carry **attributes** (backend, tile, nb, cache_hit,
+* Spans carry **attributes** (backend, tile, nb, method,
   fault-taint, trace_id, ...) settable at open time and en route
   (``span.set``).
 * **Stamps for hot paths**: a per-request path can take timestamps

@@ -384,10 +384,8 @@ def _check_backends(sweep, seed: int) -> CheckResult:
             continue
         rhs = _rhs(batch, seed + 43)
         try:
-            ref_rt = BatchRuntime(backend="numpy", cache=False)
-            ref_fac = ref_rt.factorize(
-                batch, method="lu", use_cache=False
-            )
+            ref_rt = BatchRuntime(backend="numpy")
+            ref_fac = ref_rt.factorize(batch, method="lu")
             ref_sol = ref_fac.solve(rhs)
         except Exception as err:  # a broken core must fail the check,
             failures[name] = {"reference": repr(err)}  # not escape it
@@ -398,8 +396,8 @@ def _check_backends(sweep, seed: int) -> CheckResult:
             if backend == "numpy":
                 continue
             try:
-                rt = BatchRuntime(backend=backend, cache=False)
-                fac = rt.factorize(batch, method="lu", use_cache=False)
+                rt = BatchRuntime(backend=backend)
+                fac = rt.factorize(batch, method="lu")
                 sol = fac.solve(rhs)
             except Exception as err:
                 failures.setdefault(name, {})[backend] = {

@@ -1,5 +1,5 @@
 """Tests for repro.chaos: injector determinism, the ChaosBackend
-wrapper, cache poisoning, and the end-to-end scenario sweep."""
+wrapper, tenant-shard poisoning, and the end-to-end scenario sweep."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from repro.chaos import (
     run_chaos_suite,
 )
 from repro.runtime import BatchRuntime, plan_batch
+from repro.serving import CoalescingEngine, Request, TenantCacheShards
 from repro.runtime.backends import get_backend
 from tests.strategies import make_batch, make_rhs
 
@@ -133,7 +134,7 @@ class TestChaosBackend:
         chaos = chaos_of([RaiseInjector("factorize", rate=1.0)])
         rt = BatchRuntime(backend=chaos, fallback=("numpy",))
         fac = rt.factorize(batch)
-        ref = BatchRuntime(backend="numpy", cache=False).factorize(batch)
+        ref = BatchRuntime(backend="numpy").factorize(batch)
         np.testing.assert_allclose(
             fac.solve(rhs).data, ref.solve(rhs).data
         )
@@ -147,7 +148,7 @@ class TestChaosBackend:
         fac = rt.factorize(batch)
         out = fac.solve(rhs)
         assert np.isfinite(out.data[np.arange(batch.nb), 0]).all()
-        ref = BatchRuntime(backend="numpy", cache=False).factorize(batch)
+        ref = BatchRuntime(backend="numpy").factorize(batch)
         np.testing.assert_allclose(out.data, ref.solve(rhs).data)
         rep = rt.last_report
         assert any(
@@ -156,20 +157,32 @@ class TestChaosBackend:
         ) or rep.quarantined_bins
 
     def test_faulted_handles_never_cached(self):
+        # corrupted bins are quarantined: the answer is served, but the
+        # tainted launch never enters a tenant shard
         batch = make_batch(6, 10, seed=1, dominant=True)
-        chaos = chaos_of([LatencyInjector("factorize", seconds=0.0)])
+        chaos = chaos_of([CorruptBinsInjector(rate=1.0, max_bins=8)])
         rt = BatchRuntime(backend=chaos, fallback=("numpy",))
-        rt.factorize(batch)
-        assert len(rt.cache) == 0  # latency fired -> tainted
+        shards = TenantCacheShards()
+        engine = CoalescingEngine(runtime=rt, shards=shards)
+        engine.submit(
+            Request(tenant="t", batch=batch, kind="solve",
+                    rhs=make_rhs(batch, seed=2))
+        )
+        resp = engine.flush()[0]
+        assert resp.status == "ok"
+        assert rt.last_report.quarantined_bins
+        assert shards.stats()["entries"] == 0
 
 
 class TestPoisonCache:
     def test_poisons_stored_factors(self):
         batch = make_batch(6, 10, seed=1, dominant=True)
-        rt = BatchRuntime(backend="binned")
-        fac = rt.factorize(batch)
-        assert poison_cache(rt.cache, seed=0) == 1
-        arrays = collect_float_arrays(fac.result.state)
+        shards = TenantCacheShards()
+        engine = CoalescingEngine(shards=shards)
+        engine.submit(Request(tenant="t", batch=batch, kind="setup"))
+        view = engine.flush()[0].handle
+        assert poison_cache(shards.shard("t"), seed=0) == 1
+        arrays = collect_float_arrays(view.shared.result.state)
         assert any(~np.isfinite(a).all() for a in arrays)
 
     def test_empty_cache_poisons_nothing(self):

@@ -64,7 +64,7 @@ def _overload_run(runtime=None):
     set_flight_recorder(rec)  # deep layers funnel into the same box
     rec.attach_slo(slo)
     engine = CoalescingEngine(
-        runtime=runtime or BatchRuntime(cache=False),
+        runtime=runtime or BatchRuntime(),
         clock=clock,
         slo=slo,
         flight=rec,
@@ -129,7 +129,7 @@ class TestCausalChainReconstruction:
         clock = ScriptedClock()
         rec = FlightRecorder(capacity=256, clock=clock)
         engine = CoalescingEngine(
-            runtime=BatchRuntime(cache=False),
+            runtime=BatchRuntime(),
             clock=clock,
             flight=rec,
             max_pending=1,
@@ -164,7 +164,6 @@ class TestCausalChainReconstruction:
         runtime = BatchRuntime(
             backend=chaos,
             fallback=("numpy",),
-            cache=False,
             breaker_threshold=10_000,
         )
         dump, _, _ = _overload_run(runtime=runtime)
@@ -235,7 +234,7 @@ class TestBurnAlertGate:
         flight = FlightRecorder(capacity=2048, horizon=60.0, clock=clock)
         flight.attach_slo(slo)
         engine = CoalescingEngine(
-            runtime=BatchRuntime(cache=False),
+            runtime=BatchRuntime(),
             clock=clock,
             slo=slo,
             flight=flight,
@@ -302,7 +301,7 @@ class TestBurnAlertGate:
                 flight = FlightRecorder(capacity=4096, clock=clock)
                 flight.attach_slo(slo)
             engine = CoalescingEngine(
-                runtime=BatchRuntime(cache=False),
+                runtime=BatchRuntime(),
                 clock=clock,
                 slo=slo,
                 flight=flight,

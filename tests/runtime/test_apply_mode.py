@@ -1,7 +1,7 @@
 """Runtime-level tests of ``apply_mode``: explicit-inverse GEMV apply
-through the executor - equivalence vs the TRSV path, caching of the
-inverse states (poison-aware), the per-bin autotuner, and the visible
-fallback semantics for backends that cannot invert.
+through the executor - equivalence vs the TRSV path, inverse states in
+the serving tenant shards (poison-aware), the per-bin autotuner, and
+the visible fallback semantics for backends that cannot invert.
 """
 
 import time
@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.random_batches import random_batch, random_rhs
 from repro.runtime import APPLY_MODES, BatchRuntime
+from repro.serving import CoalescingEngine, Request, TenantCacheShards
 from repro.telemetry.metrics import get_metrics, set_metrics
 from repro.verify.adversarial import mixed_size_batch, pivot_tie_batch
 
@@ -22,7 +23,7 @@ INVERTING_BACKENDS = ("numpy", "binned")
 
 
 def _reference(batch, rhs, **kw):
-    rt = BatchRuntime(backend="numpy", cache=False)
+    rt = BatchRuntime(backend="numpy")
     return rt.factorize(batch, **kw).solve(rhs)
 
 
@@ -33,7 +34,7 @@ class TestApplyModeEquivalence:
         batch = make_batch(20, 16, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 1)
         ref = _reference(batch, rhs)
-        rt = BatchRuntime(backend=backend, cache=False)
+        rt = BatchRuntime(backend=backend)
         fac = rt.factorize(batch, apply_mode=mode)
         sol = fac.solve(rhs)
         np.testing.assert_allclose(
@@ -55,7 +56,7 @@ class TestApplyModeEquivalence:
         batch = make()
         rhs = random_rhs(batch, seed=SEED)
         ref = _reference(batch, rhs)
-        rt = BatchRuntime(backend="binned", cache=False)
+        rt = BatchRuntime(backend="binned")
         sol = rt.factorize(batch, apply_mode="inverse").solve(rhs)
         np.testing.assert_allclose(
             sol.data, ref.data, rtol=1e-8, atol=1e-11
@@ -67,7 +68,7 @@ class TestApplyModeEquivalence:
         batch.data[3, : batch.sizes[3], : batch.sizes[3]] = 0.0
         rhs = make_rhs(batch, SEED + 2)
         ref = _reference(batch, rhs, on_singular=policy)
-        rt = BatchRuntime(backend="binned", cache=False)
+        rt = BatchRuntime(backend="binned")
         fac = rt.factorize(
             batch, on_singular=policy, apply_mode="inverse"
         )
@@ -80,7 +81,7 @@ class TestApplyModeEquivalence:
     def test_unresolved_singular_blocks_fall_back_to_factor(self):
         batch = make_batch(6, 8, SEED, dominant=True)
         batch.data[1, : batch.sizes[1], : batch.sizes[1]] = 0.0
-        rt = BatchRuntime(backend="binned", cache=False)
+        rt = BatchRuntime(backend="binned")
         fac = rt.factorize(batch, on_singular=None, apply_mode="inverse")
         assert not fac.ok
         assert fac.effective_apply_mode == "factor"
@@ -92,7 +93,7 @@ class TestApplyModeEquivalence:
         )
 
     def test_invalid_mode_rejected(self):
-        rt = BatchRuntime(backend="numpy", cache=False)
+        rt = BatchRuntime(backend="numpy")
         batch = make_batch(3, 4, SEED, dominant=True)
         with pytest.raises(ValueError, match="apply_mode"):
             rt.factorize(batch, apply_mode="bogus")
@@ -103,7 +104,7 @@ class TestNonInvertingBackends:
     def test_scipy_demotes_visibly(self):
         batch = make_batch(8, 8, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 3)
-        rt = BatchRuntime(backend="scipy", cache=False)
+        rt = BatchRuntime(backend="scipy")
         fac = rt.factorize(batch, apply_mode="inverse")
         assert fac.effective_apply_mode == "factor"
         events = rt.last_report.fallback_events
@@ -118,48 +119,59 @@ class TestNonInvertingBackends:
         )
 
 
+def _inverse_solve(engine, batch, rhs, apply_mode="inverse"):
+    req = Request(tenant="t", batch=batch, kind="solve", rhs=rhs,
+                  apply_mode=apply_mode)
+    ticket = engine.submit(req)
+    return ticket.response if ticket.done else engine.flush()[0]
+
+
 class TestInverseCache:
     def test_round_trip_preserves_inverse_mode(self):
         batch = make_batch(12, 8, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 4)
-        rt = BatchRuntime(backend="binned")
-        first = rt.factorize(batch, apply_mode="inverse")
-        sol1 = first.solve(rhs)
-        second = rt.factorize(batch, apply_mode="inverse")
-        assert rt.last_report.cache_hit is True
-        assert second.effective_apply_mode == "inverse"
-        assert second.inverse is not None
-        np.testing.assert_array_equal(second.solve(rhs).data, sol1.data)
+        engine = CoalescingEngine(shards=TenantCacheShards())
+        first = _inverse_solve(engine, batch, rhs)
+        second = _inverse_solve(engine, batch, rhs)
+        assert second.cache_hit
+        assert second.handle.shared.effective_apply_mode == "inverse"
+        assert second.handle.shared.inverse is not None
+        np.testing.assert_array_equal(
+            second.solution.data, first.solution.data
+        )
 
     def test_mode_is_part_of_the_cache_key(self):
         batch = make_batch(5, 8, SEED, dominant=True)
-        rt = BatchRuntime(backend="binned")
-        rt.factorize(batch, apply_mode="factor")
-        rt.factorize(batch, apply_mode="inverse")
+        rhs = make_rhs(batch, SEED + 4)
+        engine = CoalescingEngine(shards=TenantCacheShards())
+        _inverse_solve(engine, batch, rhs, apply_mode="factor")
         # different modes must not collide: the second call is a miss
-        assert rt.last_report.cache_hit is False
+        assert not _inverse_solve(engine, batch, rhs).cache_hit
 
-    def test_poisoned_inverse_is_evicted_and_rebuilt(self):
+    def test_poisoned_inverse_on_a_shard_hit_falls_back_to_factors(self):
         batch = make_batch(8, 8, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 5)
-        rt = BatchRuntime(backend="binned", validate=True)
-        fac = rt.factorize(batch, apply_mode="inverse")
-        ref = fac.solve(rhs).data.copy()
-        # corrupt one cached inverse in place (a decayed cache entry)
-        unit = next(u for u in fac.inverse.units() if u is not None)
+        engine = CoalescingEngine(
+            runtime=BatchRuntime(backend="binned", validate=True),
+            shards=TenantCacheShards(),
+        )
+        first = _inverse_solve(engine, batch, rhs)
+        ref, shared = first.solution.data, first.handle.shared
+        # corrupt one stored inverse in place (a decayed cache entry)
+        unit = next(u for u in shared.inverse.units() if u is not None)
         unit.inverses.data[0, 0, 0] = np.nan
-        fresh = rt.factorize(batch, apply_mode="inverse")
-        assert rt.last_report.cache_poisoned
-        assert fresh.effective_apply_mode == "inverse"
-        sol = fresh.solve(rhs)
-        assert np.isfinite(sol.data).all()
-        np.testing.assert_allclose(sol.data, ref, rtol=1e-12)
+        hit = _inverse_solve(engine, batch, rhs)
+        assert hit.cache_hit and hit.status == "ok"
+        assert np.isfinite(hit.solution.data).all()
+        np.testing.assert_allclose(hit.solution.data, ref, rtol=1e-12)
+        actions = [e.get("action") for e in shared.report.fallback_events]
+        assert "inverse_to_factor" in actions
 
 
 class TestAutotune:
     def test_auto_records_per_bin_measurements(self):
         batch = make_batch(24, 16, SEED, dominant=True)
-        rt = BatchRuntime(backend="binned", cache=False)
+        rt = BatchRuntime(backend="binned")
         fac = rt.factorize(batch, apply_mode="auto")
         tuning = rt.last_report.apply_tuning
         assert tuning is not None
@@ -178,7 +190,7 @@ class TestAutotune:
         batch = make_batch(24, 16, SEED + 1, dominant=True)
         rhs = make_rhs(batch, SEED + 6)
         ref = _reference(batch, rhs)
-        rt = BatchRuntime(backend="binned", cache=False)
+        rt = BatchRuntime(backend="binned")
         sol = rt.factorize(batch, apply_mode="auto").solve(rhs)
         np.testing.assert_allclose(
             sol.data, ref.data, rtol=1e-9, atol=1e-12
@@ -263,7 +275,7 @@ class TestResilientApply:
         batch = make_batch(10, 8, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 7)
         ref = _reference(batch, rhs)
-        rt = BatchRuntime(backend="binned", fallback=("numpy",), cache=False)
+        rt = BatchRuntime(backend="binned", fallback=("numpy",))
         fac = rt.factorize(batch, apply_mode="inverse")
         assert fac.effective_apply_mode == "inverse"
         # sabotage the inverse states: NaN output on clean blocks is
@@ -288,10 +300,10 @@ class TestInverseApplySpeed:
         # per apply beats the two sequential triangular sweeps
         batch = random_batch(64, size=m, kind="diag_dominant", seed=0)
         rhs = random_rhs(batch, seed=1)
-        rt = BatchRuntime(backend="numpy", cache=False)
+        rt = BatchRuntime(backend="numpy")
         seconds = {}
         for mode in ("factor", "inverse"):
-            fac = rt.factorize(batch, use_cache=False, apply_mode=mode)
+            fac = rt.factorize(batch, apply_mode=mode)
             assert fac.effective_apply_mode == mode
             best = float("inf")
             for _ in range(5):
@@ -309,7 +321,7 @@ class TestTelemetry:
         try:
             batch = make_batch(6, 8, SEED, dominant=True)
             rhs = make_rhs(batch, SEED + 8)
-            rt = BatchRuntime(backend="binned", cache=False)
+            rt = BatchRuntime(backend="binned")
             rt.factorize(batch, apply_mode="inverse").solve(rhs)
             rt.factorize(batch, apply_mode="factor").solve(rhs)
             snap = get_metrics().snapshot()

@@ -3,10 +3,10 @@
 Every backend in the registry must satisfy the same behavioural
 contract - factorize/solve round-trip against the ``numpy`` reference,
 source-ordered ``info`` merging, singular-block degradation identical
-to the raw kernels, stable cache fingerprints, and a visible
-``supports_invert`` demotion - so backend-specific tests are not
-written per backend: they are rows in :data:`CONTRACT` and the whole
-suite is parameterized over the registry.
+to the raw kernels, and a visible ``supports_invert`` demotion - so
+backend-specific tests are not written per backend: they are rows in
+:data:`CONTRACT` and the whole suite is parameterized over the
+registry.
 
 The coverage guard (:class:`TestContractCoverage`) closes the loop:
 registering a new backend without declaring its contract row fails the
@@ -292,36 +292,6 @@ class TestDegradation:
         assert fac.degradation is None
 
 
-class TestCacheFingerprint:
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_stable_hit_and_content_miss(self, name):
-        batch = make_batch(12, 8, SEED, dominant=True)
-        rt = BatchRuntime(backend=name)
-        rt.factorize(batch)
-        assert rt.last_report.cache_hit is False
-        rt.factorize(batch)
-        assert rt.last_report.cache_hit is True
-        # an equal-content copy fingerprints identically
-        clone = make_batch(12, 8, SEED, dominant=True)
-        rt.factorize(clone)
-        assert rt.last_report.cache_hit is True
-        # any content change is a different key
-        clone.data[0, 0, 0] += 1.0
-        rt.factorize(clone)
-        assert rt.last_report.cache_hit is False
-
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_method_is_part_of_the_key(self, name):
-        c = _contract(name)
-        if len(c.methods) < 2:
-            pytest.skip(f"{name} supports a single method")
-        batch = make_batch(6, 8, SEED, dominant=True)
-        rt = BatchRuntime(backend=name)
-        rt.factorize(batch, method=c.methods[0])
-        rt.factorize(batch, method=c.methods[1])
-        assert rt.last_report.cache_hit is False
-
-
 class TestSupportsInvert:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_inverse_mode_runs_or_demotes_visibly(self, name):
@@ -329,11 +299,11 @@ class TestSupportsInvert:
         batch = make_batch(16, 16, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 1)
         ref = (
-            BatchRuntime(backend="numpy", cache=False)
+            BatchRuntime(backend="numpy")
             .factorize(batch)
             .solve(rhs)
         )
-        rt = BatchRuntime(backend=name, cache=False)
+        rt = BatchRuntime(backend=name)
         fac = rt.factorize(batch, apply_mode="inverse")
         if c.invert:
             assert fac.effective_apply_mode == "inverse"
@@ -381,7 +351,7 @@ class TestSubBatchBitwise:
         sub_rhs = BatchedVectors(rhs.data[idx, :t], batch.sizes[idx])
 
         def solve(b, r):
-            fac = BatchRuntime(backend=name, cache=False).factorize(
+            fac = BatchRuntime(backend=name).factorize(
                 b, method=method, apply_mode=mode
             )
             return fac.info, fac.solve(r).data

@@ -1,8 +1,8 @@
 """Runtime backend registry tests and random-batch bitwise properties.
 
 The behavioural backend contract (round-trip equivalence, ``info``
-merge order, degradation policies, cache fingerprints, invert
-demotion) lives in the parameterized conformance harness
+merge order, degradation policies, invert demotion) lives in the
+parameterized conformance harness
 (``tests/runtime/test_backend_conformance.py``, ``-m conformance``) -
 one suite over every registered backend instead of per-backend copies.
 This module keeps what the harness does not cover: registry mechanics

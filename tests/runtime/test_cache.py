@@ -1,4 +1,5 @@
-"""Tests for the content-fingerprinted factorization cache."""
+"""Tests for the content-fingerprinted factorization cache (the store
+behind the serving layer's tenant shards)."""
 
 import numpy as np
 import pytest
@@ -221,14 +222,12 @@ class TestByteBudget:
         assert c.stats.entries == 5
         assert c.nbytes == 0
 
-    def test_invalidate_and_poison_release_bytes(self):
+    def test_invalidate_releases_bytes(self):
         c = FactorizationCache(max_bytes=1000)
         c.put("a", _Sized(100))
         c.put("b", _Sized(200))
         c.invalidate("a")
         assert c.nbytes == 200
-        c.evict_poisoned("b")
-        assert c.nbytes == 0
         c.put("c", _Sized(50))
         c.invalidate()
         assert c.nbytes == 0
@@ -263,15 +262,6 @@ class TestByteBudget:
 
 
 class TestCacheResilienceApi:
-    def test_evict_poisoned_counts_separately(self):
-        c = FactorizationCache()
-        c.put("a", 1)
-        assert c.evict_poisoned("a") is True
-        assert c.evict_poisoned("a") is False  # already gone
-        assert c.stats.poisoned == 1
-        assert c.stats.invalidations == 0
-        assert len(c) == 0
-
     def test_keys_lru_order_and_peek(self):
         c = FactorizationCache(max_entries=4)
         c.put("a", 1)
@@ -285,8 +275,9 @@ class TestCacheResilienceApi:
         assert c.keys() == ["b", "a"]  # nor recency
 
     def test_concurrent_hammering_stays_consistent(self):
-        # satellite: the cache is shared by runtimes across threads;
-        # hammer every operation concurrently and check the invariants
+        # a shard is reached from submitting threads and the flush
+        # worker at once; hammer every operation concurrently and check
+        # the invariants
         import threading
 
         c = FactorizationCache(max_entries=8)
@@ -302,8 +293,6 @@ class TestCacheResilienceApi:
                     c.put(k, (wid, round_))
                     got = c.get(k)
                     assert got is None or isinstance(got, tuple)
-                    if round_ % 13 == 0:
-                        c.evict_poisoned(k)
                     if round_ % 31 == 0:
                         c.invalidate(k)
                     if round_ % 50 == 0:

@@ -1,5 +1,5 @@
 """Tests for the resilient executor: fallback chain, circuit breakers,
-bin-level quarantine, cache validation, and solve-side recovery."""
+bin-level quarantine, and solve-side recovery."""
 
 import numpy as np
 import pytest
@@ -116,7 +116,7 @@ class TestFallbackChain:
         assert rep.backend_used == "numpy"
         assert any(e["backend"] == "flaky" for e in rep.fallback_events)
         assert all(b.fallback for b in rep.bins)
-        ref = BatchRuntime(backend="numpy", cache=False).factorize(batch)
+        ref = BatchRuntime(backend="numpy").factorize(batch)
         np.testing.assert_allclose(
             fac.solve(rhs).data, ref.solve(rhs).data
         )
@@ -147,7 +147,7 @@ class TestFallbackChain:
                           quarantine=False, breaker_threshold=1)
         rt.factorize(batch)
         calls_after_first = flaky.calls
-        rt.factorize(batch, use_cache=False)
+        rt.factorize(batch)
         assert flaky.calls == calls_after_first  # breaker open: skipped
         assert any(
             e.get("error") == "circuit_open"
@@ -179,7 +179,7 @@ class TestQuarantine:
         for i, b in enumerate(rep.bins):
             assert b.quarantined == (i in rep.quarantined_bins)
             assert b.fallback == b.quarantined
-        ref = BatchRuntime(backend="numpy", cache=False).factorize(batch)
+        ref = BatchRuntime(backend="numpy").factorize(batch)
         np.testing.assert_allclose(
             fac.solve(rhs).data, ref.solve(rhs).data
         )
@@ -226,7 +226,7 @@ class TestQuarantine:
 
     def test_degradation_bit_for_bit_through_quarantine(self):
         batch = mixed_singular_batch()
-        direct = BatchRuntime(backend="binned", cache=False).factorize(
+        direct = BatchRuntime(backend="binned").factorize(
             batch, on_singular="identity"
         )
         rt = BatchRuntime(backend=FlakyBackend(), fallback=("numpy",))
@@ -292,53 +292,51 @@ class TestSpotCheck:
         assert rt.last_report.quarantined_bins == []
 
 
+def _shard_engine():
+    """A validating runtime behind a tenant-sharded engine - the only
+    place a factorization is cached - plus one solve request."""
+    from repro.serving import CoalescingEngine, Request, TenantCacheShards
+
+    shards = TenantCacheShards()
+    rt = BatchRuntime(backend="binned", validate=True, quarantine=False)
+    eng = CoalescingEngine(runtime=rt, shards=shards)
+    batch = make_batch(8, 12, seed=11, dominant=True)
+    req = Request(tenant="t", batch=batch, kind="solve",
+                  rhs=make_rhs(batch, seed=12))
+    return eng, shards, req
+
+
 class TestCacheResilience:
     def test_poisoned_entry_evicted_and_refactorized(self):
         from repro.chaos import poison_cache
 
-        batch = make_batch(8, 12, seed=11, dominant=True)
-        rhs = make_rhs(batch, seed=12)
-        rt = BatchRuntime(backend="binned", validate=True,
-                          quarantine=False)
-        rt.factorize(batch)
-        assert poison_cache(rt.cache, seed=0) == 1
-        fac = rt.factorize(batch)
-        rep = rt.last_report
-        assert rep.cache_poisoned
-        assert rep.cache_hit is False
-        assert rt.cache.stats.poisoned == 1
-        ref = BatchRuntime(backend="numpy", cache=False).factorize(batch)
+        eng, shards, req = _shard_engine()
+        eng.submit(req)
+        clean = eng.flush()[0]
+        assert poison_cache(shards.shard("t"), seed=0) == 1
+        assert shards.invalidate("t") == 1  # evict the poisoned entry
+        t = eng.submit(req)
+        assert not t.done  # a miss: queued for a fresh factorization
+        fresh = eng.flush()[0]
+        assert fresh.status == "ok" and not fresh.cache_hit
+        assert fresh.handle.shared is not clean.handle.shared
+        assert fresh.handle.shared.report.fallback_events == []
+        ref = BatchRuntime(backend="numpy").factorize(req.batch)
         np.testing.assert_allclose(
-            fac.solve(rhs).data, ref.solve(rhs).data
+            fresh.solution.data, ref.solve(req.rhs).data
         )
 
     def test_clean_hit_served_under_validation(self):
-        batch = make_batch(8, 12, seed=11, dominant=True)
-        rt = BatchRuntime(backend="binned", validate=True,
-                          quarantine=False)
-        first = rt.factorize(batch)
-        second = rt.factorize(batch)
-        assert second is first
-        assert rt.last_report.cache_hit is True
-        assert not rt.last_report.cache_poisoned
-
-    def test_cache_degraded_knob(self):
-        batch = mixed_singular_batch()
-        keep = BatchRuntime(backend="binned")  # default: cache_degraded
-        assert keep.factorize(batch).ok is False
-        keep.factorize(batch)
-        assert keep.last_report.cache_hit is True
-        drop = BatchRuntime(backend="binned", cache_degraded=False)
-        assert drop.factorize(batch).ok is False
-        drop.factorize(batch)
-        assert drop.last_report.cache_hit is False
-
-    def test_fallback_produced_handles_not_cached(self):
-        batch = make_batch(6, 10, seed=3, dominant=True)
-        rt = BatchRuntime(backend=FlakyBackend(), fallback=("numpy",),
-                          quarantine=False)
-        rt.factorize(batch)
-        assert len(rt.cache) == 0  # tainted: never cached
+        eng, shards, req = _shard_engine()
+        eng.submit(req)
+        first = eng.flush()[0]
+        hit = eng.submit(req).response
+        assert hit.cache_hit and hit.status == "ok"
+        assert hit.handle.shared is first.handle.shared
+        assert first.handle.shared.report.fallback_events == []
+        np.testing.assert_array_equal(
+            hit.solution.data, first.solution.data
+        )
 
 
 class TestSolveResilience:
@@ -361,7 +359,7 @@ class TestSolveResilience:
         rt = BatchRuntime(backend="binned", validate=True,
                           quarantine=False)
         fac = rt.factorize(batch)
-        ref = BatchRuntime(backend="numpy", cache=False).factorize(batch)
+        ref = BatchRuntime(backend="numpy").factorize(batch)
         expected = ref.solve(rhs).data
         # corrupt the stored factors after the (validated) creation
         method, facs = fac.result.state

@@ -105,16 +105,14 @@ class TestScatterBack:
         ]
         rhss = [make_rhs(b, seed=i) for i, b in enumerate(batches)]
         merged, segments = merge_batches(batches)
-        rt = BatchRuntime(cache=False)
-        shared = rt.factorize(merged, use_cache=False)
+        rt = BatchRuntime()
+        shared = rt.factorize(merged)
         merged_rhs = merge_rhs(
             merged, list(zip(segments, rhss))
         )
         merged_out = shared.solve(merged_rhs)
         for b, r, seg in zip(batches, rhss, segments):
-            solo = BatchRuntime(cache=False).factorize(
-                b, use_cache=False
-            )
+            solo = BatchRuntime().factorize(b)
             np.testing.assert_array_equal(
                 solo.info, shared.info[seg]
             )
@@ -133,9 +131,7 @@ class TestTenantFactorization:
             make_batch(2, 16, seed=seed + 1, dominant=True),
         ]
         merged, segments = merge_batches(batches)
-        shared = BatchRuntime(cache=False).factorize(
-            merged, use_cache=False
-        )
+        shared = BatchRuntime().factorize(merged)
         views = [
             TenantFactorization(
                 tenant=f"t{i}",
@@ -160,9 +156,7 @@ class TestTenantFactorization:
         for b, v in zip(batches, views):
             rhs = make_rhs(b, seed=7)
             out = v.solve(rhs)
-            solo = BatchRuntime(cache=False).factorize(
-                b, use_cache=False
-            )
+            solo = BatchRuntime().factorize(b)
             np.testing.assert_array_equal(
                 out.data, solo.solve(rhs).data
             )

@@ -4,7 +4,7 @@ backpressure, and fault containment - all under scripted clocks."""
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosBackend, RaiseInjector
+from repro.chaos import ChaosBackend, RaiseInjector, poison_cache
 from repro.runtime import BatchRuntime
 from repro.runtime.backends import get_backend
 from repro.serving import (
@@ -51,7 +51,7 @@ def _serve_load(mode, waves, profile):
         else None
     )
     engine = CoalescingEngine(
-        runtime=BatchRuntime(cache=False), shards=shards, clock=clock
+        runtime=BatchRuntime(), shards=shards, clock=clock
     )
     pairs = []
     for wave in waves:
@@ -217,9 +217,7 @@ class TestCoalescing:
             eng.submit(req)
         responses = eng.flush()
         for req, resp in zip(reqs, responses):
-            solo = BatchRuntime(cache=False).factorize(
-                req.batch, use_cache=False
-            )
+            solo = BatchRuntime().factorize(req.batch)
             np.testing.assert_array_equal(solo.info, resp.info)
             np.testing.assert_array_equal(
                 solo.solve(req.rhs).data, resp.solution.data
@@ -230,7 +228,7 @@ class TestCoalescing:
         done = [(q, r) for q, r in pairs if r.status == "ok"]
         rng = np.random.default_rng(0)
         idx = rng.choice(len(done), size=LEAK_SAMPLE, replace=False)
-        solo = BatchRuntime(cache=False)
+        solo = BatchRuntime()
         checked = mismatches = 0
         for req, resp in (done[i] for i in sorted(idx)):
             handle = solo.factorize(
@@ -239,7 +237,6 @@ class TestCoalescing:
                 on_singular=None
                 if req.on_singular in (None, "raise")
                 else req.on_singular,
-                use_cache=False,
                 apply_mode=req.apply_mode,
             )
             checked += 1
@@ -268,9 +265,7 @@ class TestCoalescing:
         rhs = make_rhs(batch, seed=6)
         out = eng.apply("t", resp.handle, rhs)
         assert out.status == "ok"
-        solo = BatchRuntime(cache=False).factorize(
-            batch, use_cache=False
-        )
+        solo = BatchRuntime().factorize(batch)
         np.testing.assert_array_equal(
             out.solution.data, solo.solve(rhs).data
         )
@@ -298,9 +293,7 @@ class TestSingularIsolation:
         assert bad_resp.error == "singular_blocks"
         assert bad_resp.info is not None and bad_resp.info[1] > 0
         assert good_resp.status == "ok"
-        solo = BatchRuntime(cache=False).factorize(
-            good.batch, use_cache=False
-        )
+        solo = BatchRuntime().factorize(good.batch)
         np.testing.assert_array_equal(solo.info, good_resp.info)
         np.testing.assert_array_equal(
             solo.solve(good.rhs).data, good_resp.solution.data
@@ -352,7 +345,7 @@ class TestTenantCaching:
             [RaiseInjector("factorize", rate=1.0)],
             seed=0,
         )
-        rt = BatchRuntime(backend=chaos, fallback=("numpy",), cache=False)
+        rt = BatchRuntime(backend=chaos, fallback=("numpy",))
         shards = TenantCacheShards()
         eng = CoalescingEngine(runtime=rt, shards=shards)
         eng.submit(solve_request("t", seed=1))
@@ -360,6 +353,25 @@ class TestTenantCaching:
         assert resp.status == "ok"  # served despite the fault
         assert chaos.events  # the fault fired
         assert shards.stats()["entries"] == 0  # but nothing was cached
+
+    def test_poisoned_shard_hit_is_answered_by_the_reference_solve(self):
+        shards = TenantCacheShards()
+        rt = BatchRuntime(backend="binned", fallback=("numpy",))
+        eng = CoalescingEngine(runtime=rt, shards=shards)
+        req = solve_request("t", nb=6, seed=3)
+        eng.submit(req)
+        first = eng.flush()[0]
+        shared = first.handle.shared
+        clean = eng.submit(req).response  # a clean hit: no deviation
+        assert clean.cache_hit and shared.report.fallback_events == []
+        assert poison_cache(shards.shard("t"), seed=0) == 1
+        hit = eng.submit(req).response
+        assert hit.cache_hit and hit.status == "ok"
+        np.testing.assert_allclose(
+            hit.solution.data, first.solution.data, rtol=1e-12
+        )
+        actions = [e["action"] for e in shared.report.fallback_events]
+        assert actions == ["reference_solve"]
 
 
 class TestApply:

@@ -395,8 +395,8 @@ class TestBrownoutInEngine:
         assert t.response.status == "ok"
         from repro.runtime import BatchRuntime
 
-        solo = BatchRuntime(cache=False)
-        ref = solo.factorize(req.batch, use_cache=False)
+        solo = BatchRuntime()
+        ref = solo.factorize(req.batch)
         assert np.array_equal(ref.info, t.response.info)
         assert np.allclose(
             ref.solve(req.rhs).data, t.response.solution.data
@@ -509,7 +509,7 @@ def _overload_engine(policy, clock, n_clients):
             reroute_priority=1,
         )
     return CoalescingEngine(
-        runtime=BatchRuntime(cache=False),
+        runtime=BatchRuntime(),
         max_pending=4096,
         clock=clock,
         scheduling=policy,

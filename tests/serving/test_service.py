@@ -41,9 +41,7 @@ class TestConcurrentSubmission:
         from repro.runtime import BatchRuntime
 
         for req, resp in zip(reqs, responses):
-            solo = BatchRuntime(cache=False).factorize(
-                req.batch, use_cache=False
-            )
+            solo = BatchRuntime().factorize(req.batch)
             np.testing.assert_array_equal(
                 solo.solve(req.rhs).data, resp.solution.data
             )

@@ -23,6 +23,21 @@ class TestShardLifecycle:
         with pytest.raises(ValueError, match="max_tenants"):
             TenantCacheShards(max_tenants=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"per_tenant_entries": 0},
+            {"ttl_seconds": -1},
+            {"ttl_seconds": 0},
+            {"per_tenant_bytes": 0},
+        ],
+    )
+    def test_rejects_config_no_shard_can_use(self, kwargs):
+        # rejected at construction, not on the first live request
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            TenantCacheShards(**kwargs)
+
     def test_max_tenants_evicts_least_recently_touched(self):
         shards = TenantCacheShards(max_tenants=2)
         shards.put("a", "k", 1)

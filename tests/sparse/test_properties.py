@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.sparse import CooMatrix
 from repro.sparse.reorder import bandwidth, permute_symmetric, rcm_ordering
-from tests.strategies import coo_matrices
+from tests.strategies import coo_matrices, seeds
 
 
 @settings(max_examples=50, deadline=None)
@@ -47,6 +48,46 @@ def test_csr_invariants(coo):
     for r in range(A.n_rows):
         seg = A.indices[A.indptr[r] : A.indptr[r + 1]]
         assert (np.diff(seg) > 0).all()  # strictly increasing = no dups
+
+
+def _diagonal_by_rows(A):
+    """The per-row search ``CsrMatrix.diagonal`` used to run."""
+    d = np.zeros(min(A.n_rows, A.n_cols))
+    for r in range(d.size):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        seg = A.indices[lo:hi]
+        pos = np.searchsorted(seg, r)
+        if pos < seg.size and seg[pos] == r:
+            d[r] = A.values[lo + pos]
+    return d
+
+
+@st.composite
+def rectangular_csr(draw):
+    """Random CSR matrices of any shape; sparse enough that empty rows
+    and missing diagonal entries are common."""
+    n_rows = draw(st.integers(1, 25))
+    n_cols = draw(st.integers(1, 25))
+    nnz = draw(st.integers(0, 3 * max(n_rows, n_cols)))
+    rng = np.random.default_rng(draw(seeds))
+    rows = rng.integers(0, n_rows, nnz)
+    cols = rng.integers(0, n_cols, nnz)
+    if draw(st.booleans()):  # put some entries on the diagonal
+        cols = np.where(rng.random(nnz) < 0.5, rows, cols) % n_cols
+    vals = rng.standard_normal(nnz)
+    return CooMatrix(n_rows, n_cols, rows, cols, vals).to_csr()
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=rectangular_csr())
+def test_diagonal_matches_the_per_row_search_bit_for_bit(A):
+    """Vectorized ``diagonal`` == the per-row loop, bit for bit, over
+    missing diagonals, empty rows and rectangular shapes."""
+    d = A.diagonal()
+    ref = _diagonal_by_rows(A)
+    assert d.shape == ref.shape == (min(A.n_rows, A.n_cols),)
+    assert d.dtype == ref.dtype
+    np.testing.assert_array_equal(d.view(np.uint64), ref.view(np.uint64))
 
 
 @settings(max_examples=30, deadline=None)

@@ -80,11 +80,6 @@ class TestTracedSolve:
         rt = BatchRuntime(backend="binned")
         fac = rt.factorize(batch)
         fac.solve(rhs)
-        rt.factorize(batch)  # cache hit (recorded on last_report)
-        assert rt.last_report.cache_hit
-        cache = get_metrics().counter("repro_cache_events_total")
-        assert cache.value(event="miss") == 1.0
-        assert cache.value(event="hit") == 1.0
         waste = get_metrics().gauge("repro_padding_waste_ratio")
         rep = fac.report
         assert waste.value(backend=rep.backend) == pytest.approx(
@@ -100,10 +95,10 @@ class TestDisabledPath:
         batch = random_batch(
             32, size_range=(1, 8), kind="diag_dominant", seed=5
         )
-        rt = BatchRuntime(backend="binned", cache=False)
-        fac_plain = rt.factorize(batch, use_cache=False)
+        rt = BatchRuntime(backend="binned")
+        fac_plain = rt.factorize(batch)
         with tracing():
-            fac_traced = rt.factorize(batch, use_cache=False)
+            fac_traced = rt.factorize(batch)
         assert set(fac_plain.report.stage_seconds) == set(
             fac_traced.report.stage_seconds
         )

@@ -6,7 +6,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from repro.telemetry import to_native
 
@@ -64,8 +63,8 @@ class TestReportRoundTrips:
         batch = random_batch(
             24, size_range=(1, 8), kind="diag_dominant", seed=0
         )
-        rt = BatchRuntime(backend="binned", cache=False)
-        fac = rt.factorize(batch, use_cache=False)
+        rt = BatchRuntime(backend="binned")
+        fac = rt.factorize(batch)
         fac.solve(random_rhs(batch, seed=1))
         d = _roundtrip(fac.report.to_dict())
         assert d["backend"] == "binned"
@@ -138,8 +137,6 @@ class TestMetricsSnapshotRoundTrip:
         batch = random_batch(
             16, size_range=(1, 8), kind="diag_dominant", seed=2
         )
-        BatchRuntime(backend="binned", cache=False).factorize(
-            batch, use_cache=False
-        )
+        BatchRuntime(backend="binned").factorize(batch)
         d = _roundtrip(metrics_snapshot())
         assert "repro_stage_seconds" in d
