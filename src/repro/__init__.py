@@ -18,7 +18,7 @@ Quintana-Orti, ICPP 2017 (DOI 10.1109/ICPP.2017.18):
   five batched factorization backends;
 * :mod:`repro.runtime` - the execution subsystem: size-binned batch
   planning at the warp-tile ladder, pluggable backends
-  (binned/numpy/scipy), resilient execution, and per-stage/per-bin
+  (binned/numpy), resilient execution, and per-stage/per-bin
   instrumentation;
 * :mod:`repro.solvers` - IDR(s) (the paper's IDR(4)), BiCGSTAB, CG,
   GMRES.

@@ -24,7 +24,7 @@ Entry point::
     chaos = ChaosBackend(
         get_backend("binned"), [RaiseInjector("factorize")], seed=0
     )
-    rt = BatchRuntime(backend=chaos, fallback=("numpy", "scipy"))
+    rt = BatchRuntime(backend=chaos, resilient=True)
     fac = rt.factorize(batch)      # survives; events on rt.last_report
 """
 

@@ -130,25 +130,13 @@ def _run_solve(args) -> int:
 
     A = _load_problem(args)
     b = np.ones(A.n_rows)
-    chain = (
-        [s.strip() for s in args.fallback_chain.split(",") if s.strip()]
-        if args.fallback_chain
-        else None
-    )
     if args.method == "none":
         M = IdentityPreconditioner().setup(A)
     elif args.method == "scalar":
         M = ScalarJacobiPreconditioner().setup(A)
     else:
-        # a fallback chain makes the runtime resilient; chain entries
-        # other than the primary become its fallbacks
         runtime = BatchRuntime(
-            backend=args.backend,
-            fallback=(
-                None
-                if chain is None
-                else [c for c in chain if c != args.backend]
-            ),
+            backend=args.backend, resilient=args.resilient
         )
         M = BlockJacobiPreconditioner(
             method=args.method,
@@ -365,11 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("-s", type=int, default=4, help="IDR shadow dimension")
     pv.add_argument("--tol", type=float, default=1e-6)
     pv.add_argument("--maxiter", type=int, default=10000)
-    pv.add_argument("--fallback-chain", metavar="B1,B2",
-                    help="comma-separated backend fallback chain for "
-                    "the setup runtime, e.g. 'numpy,scipy' (enables "
-                    "the resilient executor: quarantine, validation, "
-                    "circuit breakers)")
+    pv.add_argument("--resilient", action="store_true",
+                    help="run the setup on a resilient runtime: "
+                    "spot-check validation, circuit breaker, and "
+                    "quarantine of failing bins onto numpy")
     pv.add_argument("--watchdog", action="store_true",
                     help="run the solve under the watchdog "
                     "(true-residual audits, stagnation/divergence "

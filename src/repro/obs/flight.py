@@ -1,9 +1,9 @@
 """Always-on flight recorder: a bounded ring of structured events
 that can dump a self-contained JSON "black box" on demand.
 
-The serving layer records admissions, sheds, flushes; the overload
-controller records brownout transitions; the runtime records
-fallbacks and quarantines; the watchdog records audit verdicts.
+The serving layer records admissions, sheds, flushes; the runtime
+records fallbacks and quarantines; the watchdog records audit
+verdicts.
 Recording is allocation-light - one tuple appended to a
 ``deque(maxlen=...)`` - so the recorder stays on even in production
 paths (the telemetry-overhead CI gate covers it).
@@ -200,8 +200,8 @@ def set_flight_recorder(
 
 def record_flight(kind: str, now: float | None = None, **fields) -> None:
     """Record into the global recorder (module-level convenience for
-    deep layers: executor fallbacks, quarantines, watchdog verdicts,
-    brownout transitions)."""
+    deep layers: executor fallbacks, quarantines, watchdog
+    verdicts)."""
     rec = _recorder
     if rec.enabled:
         rec.record(kind, now=now, **fields)

@@ -124,10 +124,10 @@ class BlockJacobiPreconditioner(Preconditioner):
     runtime, backend:
         The :mod:`repro.runtime` executor that runs the batched
         factorization and solves.  ``backend`` names a registered
-        backend (``"binned"``, ``"numpy"``, ``"scipy"``) and builds a
-        private :class:`~repro.runtime.BatchRuntime` for it;
-        ``runtime`` shares an existing one (with its fallback chain
-        and circuit breakers).  Every setup factorizes; the runtime
+        backend (``"binned"``, ``"numpy"``) and builds a private
+        :class:`~repro.runtime.BatchRuntime` for it; ``runtime``
+        shares an existing one (a resilient one brings its circuit
+        breaker and bin quarantine).  Every setup factorizes; the runtime
         keeps no cache.  With both None (the default) a private
         ``binned`` runtime runs.  The
         call's :class:`~repro.runtime.RuntimeReport` lands in

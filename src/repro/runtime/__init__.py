@@ -6,7 +6,7 @@ Its parts (see DESIGN.md, "Runtime"):
   variable-size batches at the paper's warp-tile ladder (4/8/16/32),
   with stable scatter/gather maps back to the source block order;
 * :mod:`~repro.runtime.backends` - the pluggable backend registry
-  (``binned``, ``numpy``, ``scipy``), one
+  (``binned``, ``numpy``), one
   ``factorize(plan)/solve(plan, rhs)`` protocol, cross-checkable via
   :mod:`repro.verify`;
 * :mod:`~repro.runtime.cache` - the content-fingerprinted LRU/TTL
@@ -15,8 +15,8 @@ Its parts (see DESIGN.md, "Runtime"):
 * :mod:`~repro.runtime.stats` - per-stage wall time and per-bin
   padding-waste instrumentation (:class:`RuntimeReport`);
 * :mod:`~repro.runtime.resilience` - circuit breakers, the corruption
-  spot check, and the bin-level quarantine machinery behind the
-  executor's fallback chain (see DESIGN.md, "Resilience").
+  spot check, and the bin-level quarantine machinery of a resilient
+  runtime (see DESIGN.md, "Resilience").
 
 Entry point::
 

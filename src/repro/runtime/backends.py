@@ -22,11 +22,11 @@ can cross-check them against each other:
 ``"numpy"``
     The monolithic AoS reference: one vectorised kernel call on the
     source batch at the source tile - the paper's kernels as written,
-    and the reference of every equivalence check.
-``"scipy"``
-    Per-block LAPACK (``getrf``/``getrs`` via SciPy): the external
-    anchor.  No padding at all, so its reports show zero waste.  LU
-    only.
+    the reference of every equivalence check, and where a resilient
+    runtime quarantines failing bins.
+
+Every backend runs every method of :data:`METHODS`.  The external
+LAPACK anchor is the ``"scipy"`` oracle of :mod:`repro.verify.oracles`.
 
 What is bitwise and what is held to a tolerance:
 
@@ -46,15 +46,14 @@ What is bitwise and what is held to a tolerance:
   factors and every ``apply_mode="inverse"`` inverse) are stored at the
   bin's *nominal* tile, so their GEMV reduction length never depends on
   which other blocks share the bin.
-* ``scipy`` against ``numpy``: rounding (1e-9 differential tolerance).
 
 Backends additionally advertise an ``invert`` capability
 (``supports_invert``): building explicit block inverses from an
 existing factorization state so the preconditioner apply becomes one
-batched GEMV per bin (``apply_mode="inverse"``).  The per-block
-``scipy`` anchor does not invert (its LAPACK handles stay opaque), and
-the executor falls back to the factorization apply path with a
-recorded event.
+batched GEMV per bin (``apply_mode="inverse"``).  A producer that
+cannot invert (a chaos wrapper, the quarantine composite) makes the
+executor fall back to the factorization apply path with a recorded
+event.
 
 Degradation (``on_singular``) is honoured by every backend with the
 same semantics as the kernels themselves: ``"raise"`` aborts with a
@@ -67,12 +66,10 @@ failed blocks and record a merged
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from ..core.batch import BatchedMatrices, BatchedVectors
 from ..core.batched_cholesky import cholesky_factor, cholesky_solve
@@ -84,7 +81,6 @@ from ..core.degradation import (
     DegradationRecord,
     OnSingular,
     SingularBlockError,
-    substitute_singular_blocks,
 )
 from ..core.explicit_inverse import (
     GJEInverseState,
@@ -244,8 +240,8 @@ class BackendInverse:
 class BackendFactorization:
     """What a backend hands back: opaque state + source-ordered status.
 
-    ``state`` is backend-specific (a kernel result, a list of per-bin
-    kernel results, or per-block LAPACK factors) and only meaningful to
+    ``state`` is backend-specific (a kernel result or a list of per-bin
+    kernel results) and only meaningful to
     the backend that produced it.  ``info`` and ``degradation`` follow
     the kernels' conventions, in *source* block order.
     """
@@ -266,10 +262,6 @@ class Backend:
     #: whether this backend can build explicit inverses for the
     #: ``apply_mode="inverse"`` path (``invert``/``apply_inverse``)
     supports_invert: bool = False
-    #: factorization methods this backend can execute (a
-    #: method-restricted backend - scipy - narrows this and raises
-    #: ValueError on anything else)
-    supported_methods: tuple = METHODS
 
     def factorize(
         self,
@@ -525,80 +517,3 @@ class BinnedBackend(Backend):
 
     def bin_stats(self, plan, method):
         return _binned_stats(plan, method)
-
-
-@register_backend
-class ScipyBackend(Backend):
-    """Per-block LAPACK (SciPy ``getrf``/``getrs``): the external anchor.
-
-    Supports ``method="lu"`` only; the degradation policies are honoured
-    through the shared substitution engine (per-block refactorization of
-    the engine's candidates).
-    """
-
-    name = "scipy"
-    supported_methods = ("lu",)
-
-    def factorize(self, plan, method="lu", on_singular=None):
-        if method != "lu":
-            raise ValueError(
-                "the 'scipy' backend factorizes with LAPACK getrf and "
-                f"supports method='lu' only, got {method!r}"
-            )
-        src = plan.source
-        nb = src.nb
-        states: list[tuple[np.ndarray, np.ndarray] | None] = [None] * nb
-        info = np.zeros(nb, dtype=np.int64)
-
-        def factor_block(i: int, block: np.ndarray) -> None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # LinAlgWarning on singular
-                lu, piv = scipy.linalg.lu_factor(block, check_finite=False)
-            states[i] = (lu, piv)
-            zero = np.nonzero(np.diag(lu) == 0.0)[0]
-            info[i] = int(zero[0]) + 1 if zero.size else 0
-
-        for i in range(nb):
-            factor_block(i, np.array(src.block(i), dtype=np.float64))
-
-        record = None
-        if on_singular is not None:
-
-            def refactor(cand: np.ndarray, idx: np.ndarray) -> np.ndarray:
-                sub_info = np.zeros(idx.size, dtype=np.int64)
-                for j, i in enumerate(idx):
-                    m = int(src.sizes[i])
-                    factor_block(int(i), np.array(cand[j, :m, :m]))
-                    sub_info[j] = info[i]
-                return sub_info
-
-            record = substitute_singular_blocks(
-                on_singular,
-                info,
-                refactor,
-                src.data,
-                src.sizes,
-                src.tile,
-                np.float64,
-                kernel="LAPACK getrf (scipy backend)",
-            )
-        return BackendFactorization(
-            state=states, info=info, degradation=record
-        )
-
-    def solve(self, state, plan, rhs):
-        src = plan.source
-        out = np.zeros(
-            (src.nb, src.tile), dtype=np.result_type(rhs.dtype, np.float64)
-        )
-        for i in range(src.nb):
-            m = int(src.sizes[i])
-            out[i, :m] = scipy.linalg.lu_solve(
-                state[i], rhs.data[i, :m], check_finite=False
-            )
-        return BatchedVectors(out, src.sizes.copy())
-
-    def bin_stats(self, plan, method):
-        # LAPACK runs the exact active size: zero padding waste, charged
-        # per plan bin so waste comparisons line up
-        return _binned_stats(plan, "lu")

@@ -6,12 +6,12 @@ preconditioner, the CLI, the serving engine).  One ``factorize`` call:
 
 1. plans the size-binned execution (:mod:`repro.runtime.planner`);
 2. dispatches the plan to the selected backend
-   (:mod:`repro.runtime.backends`), surviving execution faults when
-   resilience is configured: a raising or corrupting backend first
-   gets its failing bins quarantined to the reference ``numpy``
-   backend (healthy bins keep their fast path), then the configured
-   fallback chain takes the whole batch, with a per-backend circuit
-   breaker deciding who may even be tried;
+   (:mod:`repro.runtime.backends`); a ``resilient`` runtime survives
+   execution faults in exactly one way: when the backend raises, fails
+   the spot check, or is refused by its circuit breaker, the failing
+   bins are quarantined onto the reference ``numpy`` backend (healthy
+   bins keep their fast path), and the call raises only when even
+   that retry fails;
 3. builds explicit inverses when the apply mode asks for them;
 4. emits a :class:`~repro.runtime.stats.RuntimeReport` with per-stage
    wall time, per-bin padding-waste counters, and every resilience
@@ -27,14 +27,13 @@ calls (timed into the same report) and exposes the merged
 callers built against the raw kernels port over unchanged.  Semantic
 outcomes are never masked: ``on_singular="raise"`` propagates
 :class:`~repro.core.degradation.SingularBlockError` with the merged
-source-ordered status through the chain and the quarantine path alike.
+source-ordered status from the primary and the quarantine path alike.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -297,8 +296,9 @@ class BatchRuntime:
     ----------
     backend:
         Registered backend name (``"binned"`` - the default, which
-        runs the SoA kernels for ``lu``/``gh``/``ght`` -, ``"numpy"``,
-        the monolithic AoS reference, or ``"scipy"``) or a ready
+        runs per-block LAPACK ``getrf`` for ``lu`` and the SoA kernels
+        for ``gh``/``ght`` - or ``"numpy"``, the monolithic AoS
+        reference) or a ready
         :class:`~repro.runtime.backends.Backend` instance.
     bins:
         Nominal bin ladder for the planner (default: the warp-tile
@@ -306,21 +306,15 @@ class BatchRuntime:
     tight:
         Execute bins at the largest size present instead of the
         nominal ceiling (default True; see the planner).
-    fallback:
-        Ordered fallback chain of backend names (or instances) tried
-        when the primary backend fails on the whole batch, e.g.
-        ``("numpy", "scipy")`` for the documented
-        ``binned -> numpy -> scipy`` chain; the primary and repeated
-        names are skipped.  None (default) disables the chain.
-    quarantine:
-        Retry failing/corrupted size bins in isolation (primary
-        backend first, then the reference ``numpy`` backend) instead of
-        abandoning the whole batch.  Defaults to on exactly when
-        resilience is configured (``fallback`` given or ``validate``
-        forced on).
-    validate:
-        Run the finite-factor spot check on factorization results
-        and solve outputs.  Defaults to match ``quarantine``.
+    resilient:
+        Survive execution faults (default False: the single direct
+        backend call).  Turns on, together, the finite-factor spot
+        check of every factorization, the circuit breaker of the
+        primary backend, quarantine of failing or corrupted size bins
+        onto the reference ``numpy`` backend (retried on the primary
+        first while its breaker allows), and the resilient solve.
+        Raises :class:`~repro.runtime.resilience.RuntimeExecutionError`
+        when the ``numpy`` retry of a bin is corrupted too.
     breaker_threshold, breaker_cooldown:
         Per-backend circuit breaker: consecutive failures that trip it
         open, and seconds before a half-open probe is allowed.
@@ -340,9 +334,7 @@ class BatchRuntime:
         bins=DEFAULT_BINS,
         tight: bool = True,
         cache: bool = False,  # benchmarks/e2e/workloads.py passes False
-        fallback: Sequence[str | Backend] | None = None,
-        quarantine: bool | None = None,
-        validate: bool | None = None,
+        resilient: bool = False,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
         clock=time.monotonic,
@@ -354,24 +346,7 @@ class BatchRuntime:
             self.backend = get_backend(backend)
         self.bins = None if bins is None else tuple(int(b) for b in bins)
         self.tight = bool(tight)
-        self._fallbacks: list[Backend] = []
-        if fallback is not None:
-            seen = {self.backend.name}
-            for entry in fallback:
-                b = entry if isinstance(entry, Backend) else get_backend(entry)
-                if b.name in seen:
-                    continue
-                seen.add(b.name)
-                self._fallbacks.append(b)
-        resilient_default = fallback is not None or bool(validate)
-        self.quarantine = (
-            resilient_default if quarantine is None else bool(quarantine)
-        )
-        self.validate = (
-            (self.quarantine or fallback is not None)
-            if validate is None
-            else bool(validate)
-        )
+        self.resilient = bool(resilient)
         self._breakers = BreakerBoard(
             failure_threshold=breaker_threshold,
             cooldown_seconds=breaker_cooldown,
@@ -379,11 +354,6 @@ class BatchRuntime:
         )
         self._reference = NumpyBackend()
         self.last_report: RuntimeReport | None = None
-
-    @property
-    def resilient(self) -> bool:
-        """Whether any resilience mechanism is configured."""
-        return bool(self._fallbacks) or self.quarantine or self.validate
 
     @property
     def breakers(self) -> BreakerBoard:
@@ -406,15 +376,16 @@ class BatchRuntime:
         :class:`~repro.core.degradation.SingularBlockError` under
         ``on_singular="raise"`` with the merged source-ordered status,
         and :class:`~repro.runtime.resilience.RuntimeExecutionError`
-        when every configured execution avenue failed.
+        when a resilient runtime's ``numpy`` quarantine retry failed
+        too.
 
         ``apply_mode`` selects how the returned handle answers solves:
         ``"factor"`` (default, the triangular/factor apply),
         ``"inverse"`` (explicit per-bin inverses applied by one batched
         GEMV - built in an extra timed ``invert`` stage), or ``"auto"``
         (both paths measured per bin, the faster one kept).  When the
-        producing backend cannot build inverses (``scipy``, a chaos
-        wrapper, the quarantine composite) or singular blocks stayed
+        producing backend cannot build inverses (a chaos wrapper, the
+        quarantine composite) or singular blocks stayed
         unresolved, the handle falls back to the factor apply and the
         deviation is recorded on the report.
         """
@@ -472,12 +443,8 @@ class BatchRuntime:
             for i, b in enumerate(report.bins):
                 if i in report.quarantined_bins:
                     b.quarantined = True
-                    b.fallback = True
         else:
             report.bins = producer.bin_stats(plan, method)
-            if producer is not self.backend:
-                for b in report.bins:
-                    b.fallback = True
         if report.padded_flops:
             get_metrics().gauge(
                 "repro_padding_waste_ratio",
@@ -519,7 +486,7 @@ class BatchRuntime:
 
         Returns ``(inverse, effective_mode)``.  Falls back to the
         factor apply - with a recorded deviation - whenever the
-        producing backend cannot invert (scipy, chaos wrappers, the
+        producing backend cannot invert (chaos wrappers, the
         quarantine composite) or singular blocks stayed unresolved.
         """
         report.effective_apply_mode = "factor"
@@ -573,96 +540,55 @@ class BatchRuntime:
     ) -> tuple[BackendFactorization, Backend]:
         """Run the plan to a usable factorization.
 
-        Returns ``(result, producing_backend)``.  Non-resilient
-        runtimes take the single direct call, preserving historical
-        semantics exactly.
+        Returns ``(result, producing_backend)``.  A plain runtime makes
+        the single direct call.  A resilient one runs the primary while
+        its breaker allows; when the primary raises, fails the spot
+        check, or is refused, the bins go through
+        :meth:`_quarantine_execute`.
         """
+        primary = self.backend
         if not self.resilient:
-            result = self.backend.factorize(plan, method, on_singular)
-            return result, self.backend
-        last_err: BaseException | None = None
-        chain = [self.backend] + self._fallbacks
-        for position, backend in enumerate(chain):
-            if backend.name == "scipy" and method != "lu":
-                _note_fallback(
-                    report,
-                    {
-                        "stage": "factorize",
-                        "backend": backend.name,
-                        "error": "method_unsupported",
-                        "skipped": True,
-                    },
-                )
-                continue
-            breaker = self._breakers.breaker(backend.name)
-            if not breaker.allow():
-                _note_fallback(
-                    report,
-                    {
-                        "stage": "factorize",
-                        "backend": backend.name,
-                        "error": "circuit_open",
-                        "skipped": True,
-                    },
-                )
-                continue
+            return primary.factorize(plan, method, on_singular), primary
+        breaker = self._breakers.breaker(primary.name)
+        error: BaseException | None = None
+        if breaker.allow():
             try:
                 with np.errstate(all="ignore"):
-                    result = backend.factorize(plan, method, on_singular)
+                    result = primary.factorize(plan, method, on_singular)
             except SingularBlockError:
                 # semantic outcome, not an execution fault: the backend
                 # did its job, the batch is singular under "raise"
                 breaker.record_success()
                 raise
             except Exception as err:
-                breaker.record_failure()
-                last_err = err
-                _note_fallback(
-                    report,
-                    {
-                        "stage": "factorize",
-                        "backend": backend.name,
-                        "error": repr(err),
-                    },
-                )
-                if position == 0 and self.quarantine and plan.bins:
-                    out = self._quarantine_execute(
-                        plan, method, on_singular, backend, report
-                    )
-                    if out is not None:
-                        return out, COMPOSITE_BACKEND
-                continue
-            if self.validate:
+                error = err
+                fault = {"error": repr(err)}
+            else:
                 bad = spot_check_factorization(
-                    backend, result.state, plan, result.info
+                    primary, result.state, plan, result.info
                 )
-                if bad.any():
-                    breaker.record_failure()
-                    _note_fallback(
-                        report,
-                        {
-                            "stage": "factorize",
-                            "backend": backend.name,
-                            "error": "corrupted_factors",
-                            "blocks": np.nonzero(bad)[0].tolist(),
-                        },
-                    )
-                    if position == 0 and self.quarantine and plan.bins:
-                        out = self._quarantine_execute(
-                            plan, method, on_singular, backend, report
-                        )
-                        if out is not None:
-                            return out, COMPOSITE_BACKEND
-                    continue
-            breaker.record_success()
-            if position > 0:
-                report.backend_used = backend.name
-            return result, backend
-        raise RuntimeExecutionError(
-            f"no backend could factorize the batch (tried "
-            f"{[b.name for b in chain]}; "
-            f"{len(report.fallback_events)} fault/skip event(s) recorded)"
-        ) from last_err
+                if not bad.any():
+                    breaker.record_success()
+                    return result, primary
+                fault = {
+                    "error": "corrupted_factors",
+                    "blocks": np.nonzero(bad)[0].tolist(),
+                }
+            breaker.record_failure()
+            _note_fallback(
+                report,
+                {"stage": "factorize", "backend": primary.name, **fault},
+            )
+        out = self._quarantine_execute(
+            plan, method, on_singular, primary, report
+        )
+        if out is None:
+            raise RuntimeExecutionError(
+                f"{primary.name} failed and the numpy quarantine retry "
+                f"was corrupted too ({len(report.fallback_events)} fault "
+                "event(s) recorded)"
+            ) from error
+        return out, COMPOSITE_BACKEND
 
     def _quarantine_execute(
         self,
@@ -682,10 +608,6 @@ class BatchRuntime:
         ordered status at the end.  Returns None when the pass cannot
         produce a usable state (reference retry corrupted too).
         """
-        if (
-            primary.name == "scipy" or self._reference.name == "scipy"
-        ) and method != "lu":  # pragma: no cover - guarded upstream
-            return None
         per_bin_policy = (
             None if on_singular in (None, "raise") else on_singular
         )
@@ -704,7 +626,7 @@ class BatchRuntime:
                         res = primary.factorize(
                             inner, method, per_bin_policy
                         )
-                    if self.validate and spot_check_factorization(
+                    if spot_check_factorization(
                         primary, res.state, inner, res.info
                     ).any():
                         errors.append("corrupted_factors")
@@ -723,7 +645,7 @@ class BatchRuntime:
                 res = self._reference.factorize(
                     inner, method, per_bin_policy
                 )
-                if self.validate and spot_check_factorization(
+                if spot_check_factorization(
                     self._reference, res.state, inner, res.info
                 ).any():
                     # the reference path never corrupts on its own;
@@ -771,10 +693,8 @@ class BatchRuntime:
         return CacheStats()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        chain = "+".join(
-            [self.backend.name] + [b.name for b in self._fallbacks]
-        )
         return (
-            f"BatchRuntime(backend={chain!r}, bins={self.bins}, "
-            f"tight={self.tight}, quarantine={self.quarantine})"
+            f"BatchRuntime(backend={self.backend.name!r}, "
+            f"bins={self.bins}, tight={self.tight}, "
+            f"resilient={self.resilient})"
         )

@@ -54,7 +54,8 @@ __all__ = [
 
 
 class RuntimeExecutionError(RuntimeError):
-    """Every execution avenue (chain, quarantine) failed for a batch."""
+    """A resilient runtime could not factorize a batch: the primary
+    failed and the ``numpy`` quarantine retry was corrupted too."""
 
 
 # -- circuit breaker ---------------------------------------------------------

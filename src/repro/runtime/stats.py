@@ -26,10 +26,8 @@ __all__ = ["BinStats", "RuntimeReport", "StageTimer"]
 class BinStats:
     """Padding accounting of one executed bin (LU flop convention).
 
-    ``fallback``/``quarantined`` mark bins the resilient executor had
-    to move off the primary backend: ``quarantined`` bins were retried
-    on the reference backend after a failure or corruption,
-    ``fallback`` covers any off-primary execution (quarantine included).
+    ``quarantined`` marks a bin the resilient executor retried on the
+    reference ``numpy`` backend after a failure or corruption.
     """
 
     nominal_tile: int
@@ -37,7 +35,6 @@ class BinStats:
     nb: int
     useful_flops: int
     padded_flops: int
-    fallback: bool = False
     quarantined: bool = False
 
     @property
@@ -60,7 +57,6 @@ class BinStats:
                 "padded_flops": self.padded_flops,
                 "waste_flops": self.waste_flops,
                 "waste_fraction": self.waste_fraction,
-                "fallback": self.fallback,
                 "quarantined": self.quarantined,
             }
         )
@@ -131,8 +127,8 @@ class RuntimeReport:
     bins:
         Per-bin padding accounting, ordered by executed tile.  The
         monolithic ``numpy`` backend reports a single bin at the
-        source tile; the per-block ``scipy`` backend reports its bins
-        with ``padded_flops == useful_flops`` (LAPACK pads nothing).
+        source tile; ``binned`` ``lu`` bins report
+        ``padded_flops == useful_flops`` (LAPACK pads nothing).
     stage_seconds:
         Accumulated wall time per stage: ``"plan"``, ``"factor"``,
         ``"invert"``, ``"tune"``, ``"solve"`` (present only for stages
@@ -140,8 +136,8 @@ class RuntimeReport:
     backend_used:
         The backend that actually produced the factors when the
         resilient executor had to deviate from the configured one
-        (a fallback-chain member, or ``"<primary>+quarantine"`` for a
-        per-bin composite); None when the primary backend answered.
+        (``"<primary>+quarantine"`` for the per-bin composite); None
+        when the primary backend answered.
     fallback_events:
         One dict per deviation the resilient executor took: backend
         raised / was skipped by its circuit breaker / produced

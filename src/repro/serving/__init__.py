@@ -11,8 +11,7 @@ clocks; :class:`PreconditionerService` adds event-loop scheduling
 around it.
 
 Overload control: :mod:`repro.serving.overload` supplies per-tenant
-token-bucket quotas, CoDel-style adaptive shedding, and a brownout
-degradation ladder; the engine's ``scheduling="edf"`` mode orders each
+token-bucket quotas and CoDel-style adaptive shedding; the engine's ``scheduling="edf"`` mode orders each
 flush earliest-deadline-first and guarantees no response is ever
 delivered past its deadline.  :class:`ClosedLoopClient` is the
 matching client discipline (exponential backoff with seeded jitter,
@@ -30,8 +29,6 @@ from .loadgen import (
     generate_load,
 )
 from .overload import (
-    BROWNOUT_LEVELS,
-    BrownoutController,
     CoDelShedder,
     OverloadController,
     TenantQuotas,
@@ -49,11 +46,9 @@ from .service import PreconditionerService
 from .shards import TenantCacheShards
 
 __all__ = [
-    "BROWNOUT_LEVELS",
     "JOB_KINDS",
     "REJECT_REASONS",
     "SCHEDULING_MODES",
-    "BrownoutController",
     "ClientPolicy",
     "ClosedLoopClient",
     "CoDelShedder",

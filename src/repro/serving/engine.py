@@ -29,15 +29,13 @@ capacity model that makes backlog dynamics reproducible); the strict
 EDF prefix runs, the remainder is deferred back to the queue front.
 An attached :class:`~repro.serving.overload.OverloadController` adds
 per-tenant token-bucket quotas and CoDel-style sojourn shedding at
-admission, and a brownout ladder that demotes explicit-inverse applies,
-shrinks the service linger window, and finally reroutes the
-lowest-priority traffic to the reference backend.
+admission.
 
 Fault containment: a flush whose runtime execution was tainted (any
 fallback event or quarantined bin on the runtime report) still answers
-its requesters - the runtime already repaired the result through
-quarantine/fallback - but the resulting handles are **never** cached
-into tenant shards.  Singular blocks under policy ``None``/``"raise"``
+its requesters - a resilient runtime already repaired the result by
+quarantining the failing bins onto ``numpy`` - but the resulting
+handles are **never** cached into tenant shards.  Singular blocks under policy ``None``/``"raise"``
 fail only the requests that own them; the healthy co-batched requests
 are re-merged and re-factorized once, so one tenant's bad matrix
 cannot fail a neighbour.
@@ -201,9 +199,9 @@ class CoalescingEngine:
         disables tenant caching entirely.
     shed_when_breaker_open:
         Shed new work (``circuit_open``) while the runtime's primary-
-        backend breaker refuses calls, instead of queueing jobs that
-        are likely to burn the fallback chain.  Only meaningful on a
-        resilient runtime.
+        backend breaker refuses calls, instead of queueing jobs whose
+        every bin would be quarantined onto ``numpy``.  Only
+        meaningful on a resilient runtime.
     clock:
         Monotonic time source for queue-age accounting, deadlines and
         overload decisions (injectable; the shards carry their own
@@ -217,16 +215,13 @@ class CoalescingEngine:
     overload:
         Optional :class:`~repro.serving.overload.OverloadController`
         consulted at admission (quotas, CoDel shedding) and after
-        every flush (sojourn feed, brownout pressure).
+        every flush (CoDel's sojourn feed).
     max_flush_blocks:
         Bound on blocks *executed per flush* - the capacity model.
         The schedule's prefix up to this budget runs; the remainder is
         deferred back to the queue front (counted in
         ``stats["deferred"]``).  None (default) keeps the unbounded
         legacy behaviour.
-    reference_runtime:
-        Runtime for the brownout reroute lane.  Default: a lazily
-        built reference (``numpy``) runtime.
     slo:
         Optional :class:`~repro.obs.slo.SLOEngine`.  The engine feeds
         the conventional objectives it defines (``admitted_latency``
@@ -262,7 +257,6 @@ class CoalescingEngine:
         scheduling: str = "edf",
         overload: OverloadController | None = None,
         max_flush_blocks: int | None = None,
-        reference_runtime: BatchRuntime | None = None,
         slo: SLOEngine | None = None,
         flight: FlightRecorder | None = None,
     ):
@@ -296,7 +290,6 @@ class CoalescingEngine:
         self.max_flush_blocks = (
             None if max_flush_blocks is None else int(max_flush_blocks)
         )
-        self._reference_runtime = reference_runtime
         self.slo = slo
         self._flight = flight
         self._lock = threading.Lock()
@@ -316,8 +309,6 @@ class CoalescingEngine:
             "blocks_executed": 0,
             "applies": 0,
             "deferred": 0,
-            "rerouted": 0,
-            "brownout_demotions": 0,
             "late_deliveries_prevented": 0,
         }
 
@@ -340,25 +331,6 @@ class CoalescingEngine:
             "repro_serving_queue_depth",
             "Pending serving jobs awaiting a flush",
         ).set(depth)
-
-    @property
-    def linger_scale(self) -> float:
-        """Multiplier the async service applies to its linger window;
-        shrinks under brownout so batches close (and drain) faster."""
-        if self.overload is not None and self.overload.shrink_linger():
-            return 0.25
-        return 1.0
-
-    @property
-    def brownout_level(self) -> str:
-        return "normal" if self.overload is None else self.overload.level
-
-    @property
-    def reference_runtime(self) -> BatchRuntime:
-        """The brownout reroute lane (lazily built reference runtime)."""
-        if self._reference_runtime is None:
-            self._reference_runtime = BatchRuntime(backend="numpy")
-        return self._reference_runtime
 
     def _record(self, kind: str, at: float | None = None, **fields) -> None:
         """Flight-recorder event stamped in the *engine's* clock
@@ -682,44 +654,28 @@ class CoalescingEngine:
         self._gauge_depth(depth)
         for t in admitted:
             t.response = None
-        demote = (
-            self.overload is not None and self.overload.demote_apply()
-        )
         # group compatible jobs in schedule order (EDF or admission),
-        # then chunk each group to the merged-batch bound; under
-        # brownout, inverse applies demote to the factor path and the
-        # lowest-priority lane reroutes to the reference runtime
+        # then chunk each group to the merged-batch bound
         groups: dict[tuple, list[Ticket]] = {}
         for t in admitted:
             req = t.request
-            apply_mode = req.apply_mode
-            if demote and apply_mode == "inverse":
-                apply_mode = "factor"
-                self.stats["brownout_demotions"] += 1
-            reroute = (
-                self.overload is not None
-                and self.overload.reroute(req.priority)
-            )
             key = (
                 req.method,
                 req.on_singular,
-                apply_mode,
+                req.apply_mode,
                 req.batch.dtype.str,
-                reroute,
             )
             groups.setdefault(key, []).append(t)
-        for key, tickets in groups.items():
-            _, _, apply_mode, _, reroute = key
-            runtime = self.reference_runtime if reroute else self.runtime
-            if reroute:
-                self.stats["rerouted"] += len(tickets)
+        for tickets in groups.values():
             for chunk in self._chunks(tickets):
-                self._execute_chunk(
-                    chunk, flush_id, now,
-                    runtime=runtime, apply_mode=apply_mode,
-                )
+                self._launch(chunk, flush_id, now)
         if self.overload is not None:
-            self._observe_overload(admitted, deferred, now)
+            # CoDel's sojourn feed: one sample per job this flush ran
+            for t in admitted:
+                if t.response is not None:
+                    self.overload.on_sojourn(
+                        max(0.0, now - t.submitted_at), now
+                    )
         resolved = [t for t in batch_tickets if t.response is not None]
         resolved.sort(key=lambda t: t.request_id)
         self._record(
@@ -784,23 +740,6 @@ class CoalescingEngine:
             blocks += nb
         return admitted, []
 
-    def _observe_overload(
-        self, admitted: list[Ticket], deferred: list[Ticket], now: float
-    ) -> None:
-        """Feed the controller after a flush: per-job sojourns for the
-        CoDel shedder, backlog-vs-capacity pressure for brownout."""
-        for t in admitted:
-            if t.response is not None:
-                self.overload.on_sojourn(
-                    max(0.0, now - t.submitted_at), now
-                )
-        backlog = sum(t.request.batch.nb for t in deferred)
-        if self.max_flush_blocks:
-            pressure = min(1.0, backlog / self.max_flush_blocks)
-        else:
-            pressure = min(1.0, len(deferred) / self.max_pending)
-        self.overload.observe_pressure(pressure, now)
-
     def _chunks(self, tickets: list[Ticket]) -> list[list[Ticket]]:
         chunks: list[list[Ticket]] = []
         current: list[Ticket] = []
@@ -816,24 +755,22 @@ class CoalescingEngine:
             chunks.append(current)
         return chunks
 
-    def _execute_chunk(
+    def _launch(
         self, chunk: list[Ticket], flush_id: int, now: float,
-        runtime: BatchRuntime | None = None, apply_mode: str | None = None,
+        rerun_after: float | None = None,
     ) -> None:
         """Factorize one merged chunk and scatter results back.
 
-        ``runtime``/``apply_mode`` override the engine defaults for
-        brownout lanes (reference reroute, inverse demotion)."""
-        runtime = self.runtime if runtime is None else runtime
+        ``rerun_after`` marks the re-run of a chunk's singular-free
+        subset and carries the first launch's factor seconds."""
         req0 = chunk[0].request
-        if apply_mode is None:
-            apply_mode = req0.apply_mode
         policy = req0.on_singular
         # under None/"raise" the solve kernels refuse a state holding
         # unresolved singular blocks, so factorize without a policy,
         # fail exactly the requests owning singular segments, and rerun
         # the healthy subset once (see _split_singular)
         effective_policy = None if policy in (None, "raise") else policy
+        prior_seconds = 0.0 if rerun_after is None else rerun_after
         tr = get_tracer()
         lspan = None
         if tr.enabled:
@@ -843,8 +780,11 @@ class CoalescingEngine:
             lspan = tr.begin(
                 "serving.launch", cat="serving",
                 flush_id=flush_id, requests=len(chunk),
-                backend=runtime.backend.name, apply_mode=apply_mode,
+                backend=self.runtime.backend.name,
+                apply_mode=req0.apply_mode,
             )
+            if rerun_after is not None:
+                lspan.set(rerun=True)
             self._link_launch(lspan, chunk)
         try:
             t0 = PERF()
@@ -860,28 +800,45 @@ class CoalescingEngine:
                 tr.end(cspan, blocks=int(merged.nb))
             if lspan is not None:
                 lspan.set(blocks=int(merged.nb))
+            coalesced = (len(chunk), merged.nb)
             try:
-                handle = runtime.factorize(
+                handle = self.runtime.factorize(
                     merged,
                     method=req0.method,
                     on_singular=effective_policy,
-                    apply_mode=apply_mode,
+                    apply_mode=req0.apply_mode,
                 )
             except Exception as err:
-                factor_seconds = PERF() - t0
+                factor_seconds = prior_seconds + (PERF() - t0)
                 for t in chunk:
                     self._fail(
                         t, repr(err), flush_id, now,
                         factor_seconds=factor_seconds,
-                        coalesced=(len(chunk), merged.nb),
+                        coalesced=coalesced,
                     )
                 return
-            factor_seconds = PERF() - t0
-            self._execute_chunk_resolved(
-                chunk, segments, merged, handle, effective_policy,
-                req0, flush_id, now, factor_seconds,
-                runtime=runtime, apply_mode=apply_mode, launch=lspan,
-            )
+            factor_seconds = prior_seconds + (PERF() - t0)
+            self.stats["executions"] += 1
+            tainted = _tainted(self.runtime.last_report)
+            live = list(zip(chunk, segments))
+            if effective_policy is None:
+                live = self._split_singular(
+                    live, handle, flush_id, now, factor_seconds,
+                    coalesced=coalesced,
+                )
+                if live and len(live) < len(chunk):
+                    # healthy subset: re-merge and factorize once more so
+                    # their solves (and cached handles) are usable
+                    self._launch(
+                        [t for t, _ in live], flush_id, now,
+                        rerun_after=factor_seconds,
+                    )
+                    return
+            if live:
+                self._resolve_chunk(
+                    live, handle, tainted, flush_id, now, factor_seconds,
+                    coalesced=coalesced, launch=lspan,
+                )
         finally:
             if lspan is not None:
                 tr.end(lspan)
@@ -895,34 +852,6 @@ class CoalescingEngine:
                 launch.add_link(t.span)
             elif t.stamps is not None:
                 t.stamps.launches.append(launch)
-
-    def _execute_chunk_resolved(
-        self, chunk, segments, merged, handle, effective_policy,
-        req0, flush_id, now, factor_seconds, *,
-        runtime, apply_mode, launch,
-    ) -> None:
-        self.stats["executions"] += 1
-        tainted = _tainted(runtime.last_report)
-        live = list(zip(chunk, segments))
-        if effective_policy is None:
-            live = self._split_singular(
-                live, handle, flush_id, now, factor_seconds,
-                coalesced=(len(chunk), merged.nb),
-            )
-            if live and len(live) < len(chunk):
-                # healthy subset: re-merge and factorize once more so
-                # their solves (and cached handles) are usable
-                self._refactor_healthy(
-                    live, req0, flush_id, now, factor_seconds,
-                    runtime=runtime, apply_mode=apply_mode,
-                )
-                return
-        if live:
-            self._resolve_chunk(
-                live, handle, tainted, flush_id, now, factor_seconds,
-                coalesced=(len(chunk), merged.nb), runtime=runtime,
-                launch=launch,
-            )
 
     def _split_singular(
         self, live, handle, flush_id, now, factor_seconds, coalesced
@@ -943,67 +872,11 @@ class CoalescingEngine:
                 healthy.append((t, seg))
         return healthy
 
-    def _refactor_healthy(
-        self, live, req0, flush_id, now, prior_factor_seconds,
-        runtime: BatchRuntime | None = None, apply_mode: str | None = None,
-    ):
-        """Re-merge and factorize the singular-free subset of a chunk."""
-        runtime = self.runtime if runtime is None else runtime
-        if apply_mode is None:
-            apply_mode = req0.apply_mode
-        tickets = [t for t, _ in live]
-        tr = get_tracer()
-        lspan = None
-        if tr.enabled:
-            lspan = tr.begin(
-                "serving.launch", cat="serving",
-                flush_id=flush_id, requests=len(tickets),
-                backend=runtime.backend.name, apply_mode=apply_mode,
-                rerun=True,
-            )
-            self._link_launch(lspan, tickets)
-        try:
-            t0 = PERF()
-            merged, segments = merge_batches(
-                [t.request.batch for t in tickets]
-            )
-            if lspan is not None:
-                lspan.set(blocks=int(merged.nb))
-            try:
-                handle = runtime.factorize(
-                    merged,
-                    method=req0.method,
-                    on_singular=None,
-                    apply_mode=apply_mode,
-                )
-            except Exception as err:
-                seconds = prior_factor_seconds + (PERF() - t0)
-                for t in tickets:
-                    self._fail(
-                        t, repr(err), flush_id, now,
-                        factor_seconds=seconds,
-                        coalesced=(len(tickets), merged.nb),
-                    )
-                return []
-            seconds = prior_factor_seconds + (PERF() - t0)
-            self.stats["executions"] += 1
-            tainted = _tainted(runtime.last_report)
-            self._resolve_chunk(
-                list(zip(tickets, segments)), handle, tainted, flush_id,
-                now, seconds, coalesced=(len(tickets), merged.nb),
-                runtime=runtime, launch=lspan,
-            )
-            return []
-        finally:
-            if lspan is not None:
-                tr.end(lspan)
-
     def _resolve_chunk(
         self, live, handle, tainted, flush_id, now, factor_seconds,
-        coalesced, runtime: BatchRuntime | None = None, launch=None,
+        coalesced, launch=None,
     ) -> None:
         """Build tenant views, cache them, answer solves, resolve."""
-        runtime = self.runtime if runtime is None else runtime
         tr = get_tracer()
         sspan = (
             tr.begin("serving.scatter", cat="serving", flush_id=flush_id)
@@ -1015,7 +888,7 @@ class CoalescingEngine:
         try:
             self._scatter_back(
                 live, handle, tainted, flush_id, now, factor_seconds,
-                coalesced, runtime, launch, traced,
+                coalesced, launch, traced,
             )
         finally:
             # the reader of each request's tracer writes its spans
@@ -1034,7 +907,7 @@ class CoalescingEngine:
 
     def _scatter_back(
         self, live, handle, tainted, flush_id, now, factor_seconds,
-        coalesced, runtime, launch, traced,
+        coalesced, launch, traced,
     ) -> None:
         n_requests, n_blocks = coalesced
         self.stats["requests_executed"] += len(live)
@@ -1085,7 +958,7 @@ class CoalescingEngine:
                     handle.plan.source,
                     [(seg, t.request.rhs) for t, seg, _ in solvers],
                 )
-                merged_out = runtime.solve(handle, merged_rhs)
+                merged_out = self.runtime.solve(handle, merged_rhs)
                 for t, seg, tfac in solvers:
                     sliced = np.ascontiguousarray(
                         merged_out.data[seg, : tfac.tile]

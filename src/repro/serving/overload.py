@@ -1,7 +1,7 @@
-"""Overload control for the coalescing engine: quotas, adaptive
-shedding, brownout.
+"""Overload control for the coalescing engine: quotas and adaptive
+shedding.
 
-Three cooperating mechanisms, all clock-free (every method takes an
+Two cooperating mechanisms, both clock-free (every method takes an
 explicit ``now`` in the engine's clock domain) so decisions replay
 bit-for-bit under a :class:`~repro.clock.ScriptedClock`:
 
@@ -19,40 +19,29 @@ bit-for-bit under a :class:`~repro.clock.ScriptedClock`:
   below target again.  Sojourn-based control sheds on the *symptom*
   (latency) rather than the queue depth, so short bursts pass
   untouched.
-* :class:`BrownoutController` - graceful degradation under sustained
-  pressure.  A pressure signal in ``[0, 1]`` (the engine derives it
-  from backlog vs. flush capacity) moves the system through
-  :data:`BROWNOUT_LEVELS` with hysteresis: escalate only after
-  ``escalate_hold`` seconds above ``enter_pressure``, recover only
-  after ``recover_hold`` seconds below ``exit_pressure``.  Each level
-  trades result quality/latency for survival: demote explicit-inverse
-  applies to the cheaper factor path, shrink the service's linger
-  window, and - last resort - reroute the lowest-priority traffic to
-  the reference backend.
 
-:class:`OverloadController` bundles the three behind one object the
+:class:`OverloadController` bundles the two behind one object the
 engine consults at admission and after every flush.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from ..obs.flight import record_flight
-from ..telemetry.metrics import get_metrics
 
 __all__ = [
-    "BROWNOUT_LEVELS",
-    "BrownoutController",
     "CoDelShedder",
     "OverloadController",
     "TenantQuotas",
     "TokenBucket",
 ]
 
-#: graceful-degradation ladder, mildest first
-BROWNOUT_LEVELS = ("normal", "demote_apply", "shrink_linger", "reroute")
+
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float; raises unless it is finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 class TokenBucket:
@@ -65,13 +54,9 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, burst: float):
-        if rate <= 0 or burst <= 0:
-            raise ValueError(
-                f"rate and burst must be positive, got {rate}, {burst}"
-            )
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
+        self.rate = _positive("rate", rate)
+        self.burst = _positive("burst", burst)
+        self.tokens = self.burst
         self._stamp: float | None = None
 
     def _refill(self, now: float) -> None:
@@ -83,14 +68,20 @@ class TokenBucket:
 
     def try_take(self, n: float, now: float) -> float:
         """Take ``n`` tokens.  Returns 0.0 on success, else the
-        seconds until ``n`` tokens will be available (the caller's
+        seconds until the take can succeed (the caller's
         ``Retry-After`` hint); the bucket is left untouched on
-        failure."""
+        failure.
+
+        A take larger than ``burst`` is admitted only from a full
+        bucket and charged in full: the tokens go negative and the
+        refill pays the debt, so the long-run admitted rate stays at
+        ``rate``.  Its hint is the time until the bucket is full."""
         self._refill(now)
-        if n <= self.tokens:
+        need = min(n, self.burst)
+        if need <= self.tokens:
             self.tokens -= n
             return 0.0
-        return (min(n, self.burst) - self.tokens) / self.rate
+        return (need - self.tokens) / self.rate
 
 
 class TenantQuotas:
@@ -110,29 +101,29 @@ class TenantQuotas:
         min_burst: float = 0.0,
         weights: dict[str, float] | None = None,
     ):
-        if fair_share_blocks_per_s <= 0:
-            raise ValueError(
-                f"fair_share_blocks_per_s must be positive, "
-                f"got {fair_share_blocks_per_s}"
-            )
-        if burst_seconds <= 0:
-            raise ValueError(
-                f"burst_seconds must be positive, got {burst_seconds}"
-            )
-        self.fair_share = float(fair_share_blocks_per_s)
-        self.burst_seconds = float(burst_seconds)
+        self.fair_share = _positive(
+            "fair_share_blocks_per_s", fair_share_blocks_per_s
+        )
+        self.burst_seconds = _positive("burst_seconds", burst_seconds)
         # floor on bucket capacity: keep the largest expected job
         # admissible even when a tiny fair share would size the bucket
         # below one job
         self.min_burst = float(min_burst)
-        self.weights = dict(weights or {})
+        if not (math.isfinite(self.min_burst) and self.min_burst >= 0.0):
+            raise ValueError(
+                f"min_burst must be finite and >= 0, got {min_burst}"
+            )
+        self.weights = {
+            tenant: _positive(f"weight of tenant {tenant!r}", w)
+            for tenant, w in (weights or {}).items()
+        }
         self._buckets: dict[str, TokenBucket] = {}
         self.denied: dict[str, int] = {}
 
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            rate = self.fair_share * float(self.weights.get(tenant, 1.0))
+            rate = self.fair_share * self.weights.get(tenant, 1.0)
             burst = max(self.min_burst, rate * self.burst_seconds)
             bucket = TokenBucket(rate, burst)
             self._buckets[tenant] = bucket
@@ -165,13 +156,8 @@ class CoDelShedder:
     """
 
     def __init__(self, target: float = 0.02, interval: float = 0.1):
-        if target <= 0 or interval <= 0:
-            raise ValueError(
-                f"target and interval must be positive, "
-                f"got {target}, {interval}"
-            )
-        self.target = float(target)
-        self.interval = float(interval)
+        self.target = _positive("target", target)
+        self.interval = _positive("interval", interval)
         self._above_since: float | None = None
         self.dropping = False
         self._drop_count = 0
@@ -222,133 +208,19 @@ class CoDelShedder:
         }
 
 
-@dataclass
-class BrownoutController:
-    """Hysteretic ladder over :data:`BROWNOUT_LEVELS`.
-
-    :meth:`observe` is called with a pressure signal in ``[0, 1]``
-    after every flush.  Escalation needs ``escalate_hold`` seconds of
-    sustained pressure at/above ``enter_pressure``; recovery needs
-    ``recover_hold`` seconds at/below ``exit_pressure`` - the gap
-    between the two thresholds is the hysteresis band that stops the
-    controller flapping around a noisy boundary.  Every transition is
-    appended to :attr:`transitions` and emitted as telemetry.
-    """
-
-    enter_pressure: float = 0.75
-    exit_pressure: float = 0.25
-    escalate_hold: float = 0.05
-    recover_hold: float = 0.1
-    level_index: int = 0
-    transitions: list[dict] = field(default_factory=list)
-    _hot_since: float | None = None
-    _cool_since: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.exit_pressure < self.enter_pressure <= 1.0:
-            raise ValueError(
-                f"need 0 <= exit_pressure < enter_pressure <= 1, got "
-                f"{self.exit_pressure}, {self.enter_pressure}"
-            )
-        if self.escalate_hold < 0 or self.recover_hold < 0:
-            raise ValueError("hold times must be >= 0")
-
-    @property
-    def level(self) -> str:
-        return BROWNOUT_LEVELS[self.level_index]
-
-    def _transition(self, new_index: int, now: float, pressure: float):
-        old = self.level
-        self.level_index = new_index
-        self.transitions.append(
-            {
-                "at": now,
-                "from": old,
-                "to": self.level,
-                "pressure": pressure,
-            }
-        )
-        get_metrics().counter(
-            "repro_serving_brownout_transitions_total",
-            "Brownout level transitions",
-        ).inc(
-            direction="escalate" if new_index > BROWNOUT_LEVELS.index(old)
-            else "recover",
-            to=self.level,
-        )
-        get_metrics().gauge(
-            "repro_serving_brownout_level",
-            "Current brownout level index (0 = normal)",
-        ).set(self.level_index)
-        record_flight(
-            "brownout_transition", now=now,
-            from_level=old, to_level=self.level, pressure=pressure,
-        )
-
-    def observe(self, pressure: float, now: float) -> str:
-        """Feed one pressure sample; returns the (possibly new)
-        level name."""
-        pressure = float(pressure)
-        if pressure >= self.enter_pressure:
-            self._cool_since = None
-            if self._hot_since is None:
-                self._hot_since = now
-            if (
-                self.level_index < len(BROWNOUT_LEVELS) - 1
-                and now - self._hot_since >= self.escalate_hold
-            ):
-                self._transition(self.level_index + 1, now, pressure)
-                self._hot_since = now  # hold again before the next step
-        elif pressure <= self.exit_pressure:
-            self._hot_since = None
-            if self._cool_since is None:
-                self._cool_since = now
-            if (
-                self.level_index > 0
-                and now - self._cool_since >= self.recover_hold
-            ):
-                self._transition(self.level_index - 1, now, pressure)
-                self._cool_since = now
-        else:
-            # inside the hysteresis band: hold the current level
-            self._hot_since = None
-            self._cool_since = None
-        return self.level
-
-    def at_least(self, level: str) -> bool:
-        """True when the current level is ``level`` or deeper."""
-        return self.level_index >= BROWNOUT_LEVELS.index(level)
-
-    def snapshot(self) -> dict:
-        return {
-            "level": self.level,
-            "level_index": self.level_index,
-            "transitions": list(self.transitions),
-        }
-
-
 class OverloadController:
-    """The engine-facing bundle: quotas + shedder + brownout.
+    """The engine-facing bundle: quotas + shedder.
 
-    Any of the three may be None to disable that mechanism.
-    ``reroute_priority`` is the numeric priority at/above which jobs
-    are rerouted to the reference backend when brownout reaches its
-    ``reroute`` level (higher number = less urgent, so this reroutes
-    the *least* urgent traffic first).
+    Either may be None to disable that mechanism.
     """
 
     def __init__(
         self,
         quotas: TenantQuotas | None = None,
         shedder: CoDelShedder | None = None,
-        brownout: BrownoutController | None = None,
-        *,
-        reroute_priority: int = 1,
     ):
         self.quotas = quotas
         self.shedder = shedder
-        self.brownout = brownout
-        self.reroute_priority = int(reroute_priority)
 
     # -- admission-side hooks ---------------------------------------------
 
@@ -366,51 +238,16 @@ class OverloadController:
             return None
         return self.shedder.retry_after(now)
 
-    # -- flush-side hooks --------------------------------------------------
+    # -- flush-side hook ---------------------------------------------------
 
     def on_sojourn(self, sojourn: float, now: float) -> None:
         if self.shedder is not None:
             self.shedder.on_sojourn(sojourn, now)
 
-    def observe_pressure(self, pressure: float, now: float) -> str:
-        if self.brownout is None:
-            return BROWNOUT_LEVELS[0]
-        return self.brownout.observe(pressure, now)
-
-    # -- brownout queries --------------------------------------------------
-
-    @property
-    def level(self) -> str:
-        if self.brownout is None:
-            return BROWNOUT_LEVELS[0]
-        return self.brownout.level
-
-    def demote_apply(self) -> bool:
-        return (
-            self.brownout is not None
-            and self.brownout.at_least("demote_apply")
-        )
-
-    def shrink_linger(self) -> bool:
-        return (
-            self.brownout is not None
-            and self.brownout.at_least("shrink_linger")
-        )
-
-    def reroute(self, priority: int) -> bool:
-        return (
-            self.brownout is not None
-            and self.brownout.at_least("reroute")
-            and priority >= self.reroute_priority
-        )
-
     def snapshot(self) -> dict:
         return {
-            "level": self.level,
             "quotas": None if self.quotas is None
             else self.quotas.snapshot(),
             "shedder": None if self.shedder is None
             else self.shedder.snapshot(),
-            "brownout": None if self.brownout is None
-            else self.brownout.snapshot(),
         }

@@ -101,10 +101,9 @@ class Request:
     shed (``deadline_exceeded``) rather than served late - at
     admission, at flush time, and again at scatter-back.  ``priority``
     breaks earliest-deadline-first ties: lower value = more urgent
-    (priority 0 beats priority 5), and under brownout the *highest*
-    numeric priorities are the first rerouted to the reference
-    backend.  Neither field affects :attr:`coalesce_key` - urgency
-    changes *when* a job runs, never *what* it may merge with.
+    (priority 0 beats priority 5).  Neither field affects
+    :attr:`coalesce_key` - urgency changes *when* a job runs, never
+    *what* it may merge with.
     """
 
     tenant: str

@@ -101,11 +101,8 @@ class PreconditionerService:
         if self._pending_blocks >= self.flush_blocks:
             self._arm_now(loop)
         elif self._timer is None:
-            # brownout shrinks the linger window so batches close
-            # (and the backlog drains) faster
-            scale = getattr(self.engine, "linger_scale", 1.0)
             self._timer = loop.call_later(
-                self.max_delay * scale, self._arm_now, loop
+                self.max_delay, self._arm_now, loop
             )
         return await fut
 

@@ -42,11 +42,11 @@ metrology of this package and aggregates structured pass/fail findings:
     excused).
 
 ``backends``
-    Every *available* runtime backend (binned, scipy, ...) factorizes
-    and solves the well-conditioned batches through the executor and
-    agrees with the ``numpy`` reference to
-    ``diff_tol``, with bitwise-identical ``info`` - a newly registered
-    backend enters this oracle automatically.
+    Every registered runtime backend other than the ``numpy``
+    reference (today ``binned``) factorizes and solves the
+    well-conditioned batches through the executor and agrees with
+    ``numpy`` to ``diff_tol``, with bitwise-identical ``info`` - a
+    newly registered backend enters this oracle automatically.
 
 Everything is deterministic in ``seed``.  ``quick=True`` trims the
 sweep for CI entry gates (~seconds); the full mode widens tiles and

@@ -132,7 +132,7 @@ class TestChaosBackend:
         batch = make_batch(10, 12, seed=4, dominant=True)
         rhs = make_rhs(batch, seed=5)
         chaos = chaos_of([RaiseInjector("factorize", rate=1.0)])
-        rt = BatchRuntime(backend=chaos, fallback=("numpy",))
+        rt = BatchRuntime(backend=chaos, resilient=True)
         fac = rt.factorize(batch)
         ref = BatchRuntime(backend="numpy").factorize(batch)
         np.testing.assert_allclose(
@@ -144,7 +144,7 @@ class TestChaosBackend:
         batch = make_batch(10, 12, seed=4, dominant=True)
         rhs = make_rhs(batch, seed=5)
         chaos = chaos_of([CorruptBinsInjector(rate=1.0, max_bins=8)])
-        rt = BatchRuntime(backend=chaos, fallback=("numpy",))
+        rt = BatchRuntime(backend=chaos, resilient=True)
         fac = rt.factorize(batch)
         out = fac.solve(rhs)
         assert np.isfinite(out.data[np.arange(batch.nb), 0]).all()
@@ -161,7 +161,7 @@ class TestChaosBackend:
         # tainted launch never enters a tenant shard
         batch = make_batch(6, 10, seed=1, dominant=True)
         chaos = chaos_of([CorruptBinsInjector(rate=1.0, max_bins=8)])
-        rt = BatchRuntime(backend=chaos, fallback=("numpy",))
+        rt = BatchRuntime(backend=chaos, resilient=True)
         shards = TenantCacheShards()
         engine = CoalescingEngine(runtime=rt, shards=shards)
         engine.submit(

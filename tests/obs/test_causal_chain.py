@@ -160,10 +160,10 @@ class TestCausalChainReconstruction:
             seed=0,
         )
         # a high breaker threshold keeps admissions open so every
-        # request still travels the full path (via the numpy fallback)
+        # request still travels the full path (via the numpy quarantine)
         runtime = BatchRuntime(
             backend=chaos,
-            fallback=("numpy",),
+            resilient=True,
             breaker_threshold=10_000,
         )
         dump, _, _ = _overload_run(runtime=runtime)

@@ -35,10 +35,6 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.filterwarnings("ignore:cholesky block-Jacobi")
     def test_apply_matches_legacy_path(self, fem, backend, method):
-        from repro.runtime.backends import BACKENDS
-
-        if method not in BACKENDS[backend].supported_methods:
-            pytest.skip(f"{backend} backend does not support {method}")
         legacy = BlockJacobiPreconditioner(
             method, 16, backend="numpy"
         ).setup(fem)
@@ -137,7 +133,7 @@ class TestSetupResilience:
             get_backend("binned"), [RaiseInjector("factorize", 1.0)],
             seed=0,
         )
-        rt = BatchRuntime(backend=chaos, fallback=("numpy",))
+        rt = BatchRuntime(backend=chaos, resilient=True)
         M = BlockJacobiPreconditioner(
             method="lu", max_block_size=8, runtime=rt
         ).setup(fem)
@@ -150,7 +146,7 @@ class TestSetupResilience:
         assert np.isfinite(y).all()
 
     def test_fault_free_setup_reports_clean(self, fem):
-        rt = BatchRuntime(backend="binned", fallback=("numpy",))
+        rt = BatchRuntime(backend="binned", resilient=True)
         M = BlockJacobiPreconditioner(
             method="lu", max_block_size=8, runtime=rt
         ).setup(fem)

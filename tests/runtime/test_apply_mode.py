@@ -101,10 +101,14 @@ class TestApplyModeEquivalence:
 
 
 class TestNonInvertingBackends:
-    def test_scipy_demotes_visibly(self):
+    def test_non_inverting_backend_demotes_visibly(self):
+        from repro.chaos import ChaosBackend
+        from repro.runtime import get_backend
+
         batch = make_batch(8, 8, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 3)
-        rt = BatchRuntime(backend="scipy")
+        # the chaos proxy forwards factorize/solve only: no invert
+        rt = BatchRuntime(backend=ChaosBackend(get_backend("binned")))
         fac = rt.factorize(batch, apply_mode="inverse")
         assert fac.effective_apply_mode == "factor"
         events = rt.last_report.fallback_events
@@ -152,7 +156,7 @@ class TestInverseCache:
         batch = make_batch(8, 8, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 5)
         engine = CoalescingEngine(
-            runtime=BatchRuntime(backend="binned", validate=True),
+            runtime=BatchRuntime(backend="binned", resilient=True),
             shards=TenantCacheShards(),
         )
         first = _inverse_solve(engine, batch, rhs)
@@ -275,7 +279,7 @@ class TestResilientApply:
         batch = make_batch(10, 8, SEED, dominant=True)
         rhs = make_rhs(batch, SEED + 7)
         ref = _reference(batch, rhs)
-        rt = BatchRuntime(backend="binned", fallback=("numpy",))
+        rt = BatchRuntime(backend="binned", resilient=True)
         fac = rt.factorize(batch, apply_mode="inverse")
         assert fac.effective_apply_mode == "inverse"
         # sabotage the inverse states: NaN output on clean blocks is

@@ -24,8 +24,12 @@ from repro.runtime import (
     register_backend,
 )
 from repro.verify.metrics import solution_distance
-from tests.runtime.test_backend_conformance import CONTRACT, _solve_with
+from tests.runtime.test_backend_conformance import _solve_with
 from tests.strategies import batch_shapes, make_batch, make_rhs, seeds
+
+#: componentwise relative solution distance binned LU is held to
+#: against numpy on random, non-dominant batches
+RANDOM_LU_TOL = 1e-9
 
 
 class TestToleranceProperty:
@@ -34,20 +38,17 @@ class TestToleranceProperty:
     @settings(max_examples=25, deadline=None)
     def test_binned_lu_tracks_numpy_on_random_batches(self, shape, seed):
         # binned LU runs LAPACK getrf, so it is not bitwise numpy; on
-        # non-dominant random batches it is held to the scipy row's
-        # tolerance
+        # non-dominant random batches it is held to RANDOM_LU_TOL
         batch = make_batch(*shape, seed, dominant=False)
         rhs = make_rhs(batch, seed + 1)
         _, ref = _solve_with("numpy", batch, rhs)
         _, sol = _solve_with("binned", batch, rhs)
-        assert float(solution_distance(sol, ref).max()) <= (
-            CONTRACT["scipy"].tol
-        )
+        assert float(solution_distance(sol, ref).max()) <= RANDOM_LU_TOL
 
 
 class TestRegistry:
     def test_known_backends_registered(self):
-        for name in ("numpy", "binned", "scipy"):
+        for name in ("numpy", "binned"):
             assert name in BACKENDS
 
     def test_available_excludes_only_missing_deps(self):
@@ -75,11 +76,6 @@ class TestRegistry:
             assert isinstance(get_backend("dummy-test-backend"), Dummy)
         finally:
             BACKENDS.pop("dummy-test-backend", None)
-
-    def test_scipy_backend_is_lu_only(self):
-        batch = random_batch(4, size=4, kind="diag_dominant", seed=0)
-        with pytest.raises(ValueError, match="method='lu' only"):
-            get_backend("scipy").factorize(plan_batch(batch), method="gh")
 
     def test_binned_layout_follows_the_method(self):
         # one kernel table: the SoA sweeps where a realisation exists,

@@ -102,11 +102,6 @@ class TestPaddingAccounting:
         assert rep.bins[0].tile == rep.source_tile
         assert rep.padded_flops == rep.monolithic_padded_flops
 
-    def test_scipy_backend_reports_zero_waste(self):
-        rt = BatchRuntime(backend="scipy")
-        rt.factorize(_mixed_batch())
-        assert rt.last_report.padding_waste == 0
-
     def test_report_serializes_to_json(self):
         rt = BatchRuntime()
         batch = _mixed_batch()

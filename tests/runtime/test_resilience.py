@@ -1,5 +1,5 @@
-"""Tests for the resilient executor: fallback chain, circuit breakers,
-bin-level quarantine, and solve-side recovery."""
+"""Tests for the resilient executor: circuit breakers, bin-level
+quarantine onto numpy, and solve-side recovery."""
 
 import numpy as np
 import pytest
@@ -105,53 +105,64 @@ class TestCircuitBreaker:
             CircuitBreaker("x", failure_threshold=0)
 
 
-class TestFallbackChain:
-    def test_chain_falls_through_to_numpy(self):
-        batch = make_batch(10, 12, seed=3, dominant=True)
-        rhs = make_rhs(batch, seed=4)
-        rt = BatchRuntime(backend=FlakyBackend(),
-                          fallback=("numpy", "scipy"), quarantine=False)
+class TestRecoveryPath:
+    """A resilient runtime recovers in exactly one way: the failing
+    bins are quarantined onto ``numpy``, and the call raises only when
+    that retry fails too."""
+
+    def test_breaker_open_quarantines_every_bin_onto_numpy(self):
+        batch = make_batch(12, 14, seed=5, dominant=True)
+        rhs = make_rhs(batch, seed=6)
+        flaky = FlakyBackend()
+        rt = BatchRuntime(backend=flaky, resilient=True,
+                          breaker_threshold=1)
+        rt.factorize(batch)  # the first failure trips the breaker
+        assert rt.breakers.breaker("flaky").state == "open"
+        calls = flaky.calls
         fac = rt.factorize(batch)
         rep = rt.last_report
-        assert rep.backend_used == "numpy"
-        assert any(e["backend"] == "flaky" for e in rep.fallback_events)
-        assert all(b.fallback for b in rep.bins)
+        assert flaky.calls == calls  # the primary was not called
+        assert rep.backend_used == "flaky+quarantine"
+        assert rep.quarantined_bins == list(range(len(rep.bins)))
+        events = rep.fallback_events
+        assert len(events) == len(rep.bins)
+        assert all(
+            e["error"] == "circuit_open"
+            and e["action"] == "quarantined_to_numpy"
+            for e in events
+        )
         ref = BatchRuntime(backend="numpy").factorize(batch)
+        np.testing.assert_array_equal(fac.info, ref.info)
         np.testing.assert_allclose(
             fac.solve(rhs).data, ref.solve(rhs).data
         )
 
-    def test_all_avenues_exhausted_raises(self):
-        batch = make_batch(4, 8, seed=0, dominant=True)
-        rt = BatchRuntime(backend=FlakyBackend(), fallback=(),
-                          quarantine=False, validate=True)
-        with pytest.raises(RuntimeExecutionError, match="no backend"):
-            rt.factorize(batch)
+    def test_corrupted_reference_retry_raises(self):
+        from repro.chaos import ChaosBackend, CorruptBinsInjector
 
-    def test_scipy_skipped_for_non_lu(self):
         batch = make_batch(4, 8, seed=0, dominant=True)
-        rt = BatchRuntime(backend=FlakyBackend(),
-                          fallback=("scipy", "numpy"), quarantine=False)
-        rt.factorize(batch, method="gh")
-        events = rt.last_report.fallback_events
-        assert any(
-            e["backend"] == "scipy" and e["error"] == "method_unsupported"
-            for e in events
+        rt = BatchRuntime(backend=FlakyBackend(), resilient=True)
+        rt._reference = ChaosBackend(
+            get_backend("numpy"), [CorruptBinsInjector(rate=1.0)], seed=0
         )
-        assert rt.last_report.backend_used == "numpy"
+        with pytest.raises(RuntimeExecutionError, match="quarantine"):
+            rt.factorize(batch)
+        assert rt._reference.events  # the retry ran and was corrupted
 
-    def test_breaker_skips_primary_after_trips(self):
-        batch = make_batch(4, 8, seed=0, dominant=True)
-        flaky = FlakyBackend()
-        rt = BatchRuntime(backend=flaky, fallback=("numpy",),
-                          quarantine=False, breaker_threshold=1)
-        rt.factorize(batch)
-        calls_after_first = flaky.calls
-        rt.factorize(batch)
-        assert flaky.calls == calls_after_first  # breaker open: skipped
-        assert any(
-            e.get("error") == "circuit_open"
-            for e in rt.last_report.fallback_events
+    def test_raise_carries_merged_info_with_breaker_open(self):
+        batch = mixed_singular_batch()
+        with pytest.raises(SingularBlockError) as direct:
+            get_backend("binned").factorize(
+                batch_plan(batch), "lu", "raise"
+            )
+        rt = BatchRuntime(backend=FlakyBackend(), resilient=True,
+                          breaker_threshold=1)
+        rt.factorize(make_batch(4, 8, seed=0, dominant=True))
+        assert rt.breakers.breaker("flaky").state == "open"
+        with pytest.raises(SingularBlockError) as quarantined:
+            rt.factorize(batch, on_singular="raise")
+        np.testing.assert_array_equal(
+            quarantined.value.info, direct.value.info
         )
 
     def test_non_resilient_runtime_unchanged(self):
@@ -163,7 +174,7 @@ class TestFallbackChain:
         assert rep.backend_used is None
         assert rep.fallback_events == []
         assert rep.breakers is None
-        assert not any(b.fallback for b in rep.bins)
+        assert not any(b.quarantined for b in rep.bins)
         assert fac.ok
 
 
@@ -171,14 +182,13 @@ class TestQuarantine:
     def test_quarantine_preserves_solutions(self):
         batch = make_batch(12, 14, seed=5, dominant=True)
         rhs = make_rhs(batch, seed=6)
-        rt = BatchRuntime(backend=FlakyBackend(), fallback=("numpy",))
+        rt = BatchRuntime(backend=FlakyBackend(), resilient=True)
         fac = rt.factorize(batch)
         rep = rt.last_report
         assert rep.backend_used == "flaky+quarantine"
         assert rep.quarantined_bins  # every bin had to move
         for i, b in enumerate(rep.bins):
             assert b.quarantined == (i in rep.quarantined_bins)
-            assert b.fallback == b.quarantined
         ref = BatchRuntime(backend="numpy").factorize(batch)
         np.testing.assert_allclose(
             fac.solve(rhs).data, ref.solve(rhs).data
@@ -189,7 +199,7 @@ class TestQuarantine:
         # then bin 0 fails once more and quarantines, later bins pass
         batch = make_batch(12, 14, seed=5, dominant=True)
         rt = BatchRuntime(backend=FlakyBackend(fail_times=2),
-                          fallback=("numpy",), breaker_threshold=10)
+                          resilient=True, breaker_threshold=10)
         fac = rt.factorize(batch)
         rep = rt.last_report
         assert rep.quarantined_bins == [0]
@@ -205,31 +215,17 @@ class TestQuarantine:
             get_backend("binned").factorize(
                 batch_plan(batch), "lu", "raise"
             )
-        rt = BatchRuntime(backend=FlakyBackend(), fallback=("numpy",))
+        rt = BatchRuntime(backend=FlakyBackend(), resilient=True)
         with pytest.raises(SingularBlockError, match="on_singular") as q:
             rt.factorize(batch, on_singular="raise")
         np.testing.assert_array_equal(q.value.info, direct.value.info)
-
-    def test_raise_bit_for_bit_through_chain(self):
-        batch = mixed_singular_batch()
-        with pytest.raises(SingularBlockError) as direct:
-            get_backend("binned").factorize(
-                batch_plan(batch), "lu", "raise"
-            )
-        rt = BatchRuntime(backend=FlakyBackend(), fallback=("numpy",),
-                          quarantine=False)
-        with pytest.raises(SingularBlockError) as chain:
-            rt.factorize(batch, on_singular="raise")
-        np.testing.assert_array_equal(
-            chain.value.info, direct.value.info
-        )
 
     def test_degradation_bit_for_bit_through_quarantine(self):
         batch = mixed_singular_batch()
         direct = BatchRuntime(backend="binned").factorize(
             batch, on_singular="identity"
         )
-        rt = BatchRuntime(backend=FlakyBackend(), fallback=("numpy",))
+        rt = BatchRuntime(backend=FlakyBackend(), resilient=True)
         fac = rt.factorize(batch, on_singular="identity")
         assert rt.last_report.backend_used == "flaky+quarantine"
         np.testing.assert_array_equal(fac.info, direct.info)
@@ -282,7 +278,7 @@ class TestSpotCheck:
         # unresolved singular blocks (policy None) must pass through the
         # validating executor untouched, not get quarantined as corrupt
         batch = mixed_singular_batch()
-        rt = BatchRuntime(backend="binned", fallback=("numpy",))
+        rt = BatchRuntime(backend="binned", resilient=True)
         fac = rt.factorize(batch)
         direct = get_backend("binned").factorize(
             batch_plan(batch), "lu", None
@@ -298,7 +294,7 @@ def _shard_engine():
     from repro.serving import CoalescingEngine, Request, TenantCacheShards
 
     shards = TenantCacheShards()
-    rt = BatchRuntime(backend="binned", validate=True, quarantine=False)
+    rt = BatchRuntime(backend="binned", resilient=True)
     eng = CoalescingEngine(runtime=rt, shards=shards)
     batch = make_batch(8, 12, seed=11, dominant=True)
     req = Request(tenant="t", batch=batch, kind="solve",
@@ -356,8 +352,7 @@ class TestSolveResilience:
     def test_corrupted_solve_falls_back_to_reference(self):
         batch = make_batch(6, 10, seed=3, dominant=True)
         rhs = make_rhs(batch, seed=4)
-        rt = BatchRuntime(backend="binned", validate=True,
-                          quarantine=False)
+        rt = BatchRuntime(backend="binned", resilient=True)
         fac = rt.factorize(batch)
         ref = BatchRuntime(backend="numpy").factorize(batch)
         expected = ref.solve(rhs).data
@@ -374,7 +369,7 @@ class TestSolveResilience:
     def test_geometry_mismatch_still_raises(self):
         batch = make_batch(6, 10, seed=3, dominant=True)
         other = make_rhs(make_batch(5, 10, seed=3, dominant=True), seed=0)
-        rt = BatchRuntime(backend="binned", validate=True)
+        rt = BatchRuntime(backend="binned", resilient=True)
         fac = rt.factorize(batch)
         with pytest.raises(ValueError, match="geometry"):
             fac.solve(other)

@@ -143,7 +143,7 @@ class TestAdmission:
         clock = ScriptedClock()
         rt = BatchRuntime(
             backend="binned",
-            fallback=("numpy",),
+            resilient=True,
             breaker_threshold=1,
             breaker_cooldown=100.0,
             clock=clock,
@@ -345,7 +345,7 @@ class TestTenantCaching:
             [RaiseInjector("factorize", rate=1.0)],
             seed=0,
         )
-        rt = BatchRuntime(backend=chaos, fallback=("numpy",))
+        rt = BatchRuntime(backend=chaos, resilient=True)
         shards = TenantCacheShards()
         eng = CoalescingEngine(runtime=rt, shards=shards)
         eng.submit(solve_request("t", seed=1))
@@ -356,7 +356,7 @@ class TestTenantCaching:
 
     def test_poisoned_shard_hit_is_answered_by_the_reference_solve(self):
         shards = TenantCacheShards()
-        rt = BatchRuntime(backend="binned", fallback=("numpy",))
+        rt = BatchRuntime(backend="binned", resilient=True)
         eng = CoalescingEngine(runtime=rt, shards=shards)
         req = solve_request("t", nb=6, seed=3)
         eng.submit(req)

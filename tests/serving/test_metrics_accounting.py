@@ -5,7 +5,6 @@ attributed to its structured reason."""
 import pytest
 
 from repro.serving import (
-    BrownoutController,
     CoalescingEngine,
     CoDelShedder,
     OverloadController,
@@ -120,25 +119,3 @@ class TestShedReasonAttribution:
         )
         eng.submit(solve_request(seed=1))
         assert sheds("overloaded") == 1
-
-    def test_brownout_transitions_counter_and_level_gauge(self):
-        b = BrownoutController(
-            enter_pressure=0.5, exit_pressure=0.1,
-            escalate_hold=0.0, recover_hold=0.0,
-        )
-        b.observe(1.0, now=0.0)
-        assert (
-            get_metrics()
-            .counter("repro_serving_brownout_transitions_total")
-            .value(direction="escalate", to="demote_apply")
-            == 1
-        )
-        assert (
-            get_metrics().gauge("repro_serving_brownout_level").value()
-            == 1
-        )
-        b.observe(0.0, now=1.0)
-        assert (
-            get_metrics().gauge("repro_serving_brownout_level").value()
-            == 0
-        )

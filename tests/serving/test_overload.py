@@ -1,5 +1,5 @@
-"""Deadline-aware overload control: EDF scheduling, quotas, CoDel
-shedding, brownout degradation - all under scripted clocks."""
+"""Deadline-aware overload control: EDF scheduling, quotas and CoDel
+shedding - all under scripted clocks."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ import pytest
 from repro.core.random_batches import random_batch, random_rhs
 from repro.runtime import BatchRuntime
 from repro.serving import (
-    BROWNOUT_LEVELS,
-    BrownoutController,
     ClientPolicy,
     ClosedLoopClient,
     CoalescingEngine,
@@ -67,6 +65,18 @@ class TestTokenBucket:
     def test_validates(self):
         with pytest.raises(ValueError):
             TokenBucket(rate=0.0, burst=1.0)
+        with pytest.raises(ValueError):
+            TokenBucket(rate=float("nan"), burst=1.0)
+
+    def test_take_larger_than_burst_needs_a_full_bucket_and_pays(self):
+        b = TokenBucket(rate=10.0, burst=1.0)
+        # a full bucket admits it and is charged all four tokens
+        assert b.try_take(4, now=0.0) == 0.0
+        assert b.tokens == pytest.approx(-3.0)
+        # the hint is the time until the bucket is full again
+        assert b.try_take(4, now=0.0) == pytest.approx(0.4)
+        assert b.try_take(4, now=0.2) == pytest.approx(0.2)
+        assert b.try_take(4, now=0.4) == 0.0
 
 
 class TestTenantQuotas:
@@ -90,6 +100,37 @@ class TestTenantQuotas:
         assert q.admit("storm", 5, now=0.0) > 0.0
         # the storm's exhaustion does not touch the neighbour
         assert q.admit("calm", 5, now=0.0) == 0.0
+
+    def test_job_larger_than_burst_does_not_skip_the_quota(self):
+        q = TenantQuotas(10.0, burst_seconds=0.1)  # a 1-block burst
+        verdicts = [q.admit("a", 4, now=0.0) == 0.0 for _ in range(5)]
+        assert verdicts == [True, False, False, False, False]
+        assert q.denied == {"a": 4}
+        # offered far above the share for 10 s, 4-block jobs are
+        # admitted at the fair share of 10 blocks/s, not for free
+        admitted = sum(
+            4 for k in range(1, 1000)
+            if q.admit("b", 4, now=k * 0.01) == 0.0
+        )
+        assert 96 <= admitted <= 104
+
+    def test_rejects_values_it_cannot_use(self):
+        nan, inf = float("nan"), float("inf")
+        for kw in (
+            {"fair_share_blocks_per_s": 0.0},
+            {"fair_share_blocks_per_s": nan},
+            {"fair_share_blocks_per_s": inf},
+            {"burst_seconds": -1.0},
+            {"burst_seconds": nan},
+            {"weights": {"a": 0.0}},
+            {"weights": {"a": nan}},
+            {"weights": {"a": -2.0}},
+            {"min_burst": -1.0},
+            {"min_burst": nan},
+            {"min_burst": inf},
+        ):
+            with pytest.raises(ValueError):
+                TenantQuotas(**{"fair_share_blocks_per_s": 100.0, **kw})
 
 
 class TestCoDelShedder:
@@ -130,47 +171,13 @@ class TestCoDelShedder:
         assert not s.dropping
         assert not s.should_shed(0.2)
 
-
-class TestBrownoutController:
-    def test_full_ladder_up_and_down(self):
-        b = BrownoutController(
-            enter_pressure=0.8, exit_pressure=0.2,
-            escalate_hold=1.0, recover_hold=1.0,
-        )
-        assert b.level == "normal"
-        b.observe(1.0, now=0.0)
-        assert b.level == "normal"  # hold not yet served
-        for i, expected in enumerate(BROWNOUT_LEVELS[1:], start=1):
-            b.observe(1.0, now=float(i))
-            assert b.level == expected
-        b.observe(1.0, now=10.0)
-        assert b.level == "reroute"  # ladder saturates
-        b.observe(0.0, now=20.0)
-        for i, expected in enumerate(
-            reversed(BROWNOUT_LEVELS[:-1]), start=1
+    def test_rejects_values_it_cannot_use(self):
+        for target, interval in (
+            (0.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1),
+            (0.01, -0.1), (0.01, float("nan")), (0.01, float("inf")),
         ):
-            b.observe(0.0, now=20.0 + i)
-            assert b.level == expected
-        assert [t["to"] for t in b.transitions] == [
-            "demote_apply", "shrink_linger", "reroute",
-            "shrink_linger", "demote_apply", "normal",
-        ]
-
-    def test_hysteresis_band_holds_the_level(self):
-        b = BrownoutController(
-            enter_pressure=0.8, exit_pressure=0.2,
-            escalate_hold=0.0, recover_hold=0.0,
-        )
-        b.observe(0.9, now=0.0)
-        assert b.level == "demote_apply"
-        for i in range(50):
-            b.observe(0.5, now=1.0 + i)  # inside the band
-        assert b.level == "demote_apply"
-        assert len(b.transitions) == 1
-
-    def test_validates_thresholds(self):
-        with pytest.raises(ValueError):
-            BrownoutController(enter_pressure=0.2, exit_pressure=0.8)
+            with pytest.raises(ValueError):
+                CoDelShedder(target=target, interval=interval)
 
 
 class TestEdfScheduling:
@@ -316,93 +323,6 @@ class TestQuotaAndCodelInEngine:
         assert t.response.rejection.retry_after > 0.0
 
 
-class TestBrownoutInEngine:
-    def _pressured_engine(self, clock):
-        eng = CoalescingEngine(
-            clock=clock,
-            scheduling="edf",
-            max_flush_blocks=2,
-            overload=OverloadController(
-                brownout=BrownoutController(
-                    enter_pressure=0.5,
-                    exit_pressure=0.1,
-                    escalate_hold=0.0,
-                    recover_hold=0.0,
-                ),
-                reroute_priority=1,
-            ),
-        )
-        return eng
-
-    def _pressurize(self, eng, clock, flushes, seed=0, **kw):
-        for i in range(flushes):
-            for j in range(4):
-                eng.submit(
-                    solve_request(seed=seed + 10 * i + j, **kw)
-                )
-            eng.flush()
-            clock.advance(0.01)
-
-    def test_sustained_deferral_escalates_and_demotes_inverse(self):
-        clock = ScriptedClock()
-        eng = self._pressured_engine(clock)
-        self._pressurize(eng, clock, 3, apply_mode="inverse")
-        assert eng.brownout_level != "normal"
-        assert eng.stats["brownout_demotions"] > 0
-        assert eng.overload.brownout.transitions
-
-    def test_linger_scale_shrinks_under_pressure(self):
-        clock = ScriptedClock()
-        eng = self._pressured_engine(clock)
-        assert eng.linger_scale == 1.0
-        self._pressurize(eng, clock, 4)
-        assert eng.brownout_level in ("shrink_linger", "reroute")
-        assert eng.linger_scale == 0.25
-
-    def _rerouting_engine(self, clock):
-        # pin the controller at the top of the ladder: these tests are
-        # about the lane mechanics, not the escalation path above
-        return CoalescingEngine(
-            clock=clock,
-            scheduling="edf",
-            overload=OverloadController(
-                brownout=BrownoutController(
-                    level_index=len(BROWNOUT_LEVELS) - 1
-                ),
-                reroute_priority=1,
-            ),
-        )
-
-    def test_reroute_lane_takes_lowest_priority_traffic(self):
-        clock = ScriptedClock()
-        eng = self._rerouting_engine(clock)
-        assert eng.brownout_level == "reroute"
-        low = eng.submit(solve_request(seed=99, priority=3))
-        high = eng.submit(solve_request(seed=98, priority=0))
-        eng.flush()
-        assert low.response.status == "ok"
-        assert high.response.status == "ok"
-        # only the priority-3 job crosses into the reference lane
-        assert eng.stats["rerouted"] == 1
-
-    def test_rerouted_answers_match_the_primary_lane(self):
-        clock = ScriptedClock()
-        eng = self._rerouting_engine(clock)
-        req = solve_request(seed=123, priority=3)
-        t = eng.submit(solve_request(seed=123, priority=3))
-        eng.flush()
-        assert eng.stats["rerouted"] == 1
-        assert t.response.status == "ok"
-        from repro.runtime import BatchRuntime
-
-        solo = BatchRuntime()
-        ref = solo.factorize(req.batch)
-        assert np.array_equal(ref.info, t.response.info)
-        assert np.allclose(
-            ref.solve(req.rhs).data, t.response.solution.data
-        )
-
-
 class TestScriptedDeterminism:
     def _trace(self, seed):
         """One scripted overload session; returns every observable
@@ -417,12 +337,6 @@ class TestScriptedDeterminism:
                     40.0, burst_seconds=0.2, min_burst=2
                 ),
                 shedder=CoDelShedder(target=0.02, interval=0.05),
-                brownout=BrownoutController(
-                    enter_pressure=0.5,
-                    exit_pressure=0.1,
-                    escalate_hold=0.01,
-                    recover_hold=0.05,
-                ),
             ),
         )
         rng = np.random.default_rng(seed)
@@ -441,7 +355,7 @@ class TestScriptedDeterminism:
                 if t.done:
                     log.append(("reject", t.response.rejection.reason))
             eng.flush()
-            log.append(("level", eng.brownout_level))
+            log.append(("pending", eng.pending))
             clock.advance(0.01)
         for t in tickets:
             if t.done:
@@ -486,8 +400,8 @@ OVERLOAD_STAGGER = 0.3
 
 def _overload_engine(policy, clock, n_clients):
     """``fifo``: admission order, no deadline awareness, no overload
-    controller.  ``edf``: deadline-aware scheduling plus quotas, CoDel
-    and brownout."""
+    controller.  ``edf``: deadline-aware scheduling plus quotas and
+    CoDel."""
     capacity_bps = OVERLOAD_CAPACITY / OVERLOAD_DT
     overload = None
     if policy == "edf":
@@ -500,13 +414,6 @@ def _overload_engine(policy, clock, n_clients):
                 min_burst=OVERLOAD_JOB_BLOCKS,
             ),
             shedder=CoDelShedder(target=0.02, interval=0.05),
-            brownout=BrownoutController(
-                enter_pressure=0.75,
-                exit_pressure=0.25,
-                escalate_hold=0.05,
-                recover_hold=0.1,
-            ),
-            reroute_priority=1,
         )
     return CoalescingEngine(
         runtime=BatchRuntime(),
@@ -548,8 +455,8 @@ def _run_overload_level(policy, level, ticks, seed):
             policy=ClientPolicy(),
             think_seconds=OVERLOAD_THINK,
             deadline_seconds=OVERLOAD_DEADLINE,
-            # half the fleet is deprioritised: the brownout reroute
-            # lane's candidates
+            # half the fleet is deprioritised: priority breaks EDF's
+            # deadline ties
             priority=i % 2,
             # spread first arrivals so the t=0 thundering herd does
             # not pollute the steady-state percentiles

@@ -97,9 +97,8 @@ class TestCommands:
 
 
 class TestResilienceFlags:
-    def test_solve_with_fallback_chain(self, capsys):
-        rc = main(["solve", "fem_b8_s1", "--bound", "16",
-                   "--fallback-chain", "numpy,scipy"])
+    def test_solve_resilient(self, capsys):
+        rc = main(["solve", "fem_b8_s1", "--bound", "16", "--resilient"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "runtime[binned]" in out
