@@ -73,24 +73,23 @@ def extract_blocks(
 
     data = np.zeros((nb, tile, tile), dtype=dtype)
     idx = np.arange(tile)
-    data[:, idx, idx] = 1.0  # identity padding
-    # zero the active diagonals (they are filled from the matrix below)
-    row_mask = idx[None, :] < block_sizes[:, None]
-    for b in range(nb):
-        m = block_sizes[b]
-        data[b, :m, :m] = 0.0
+    # identity padding: ones on the diagonal past each block's size (the
+    # active part is filled from the matrix below)
+    data[:, idx, idx] = idx[None, :] >= block_sizes[:, None]
 
-    # classify every nonzero: block of its row, membership of its column
-    rows = np.repeat(np.arange(matrix.n_rows), matrix.row_nnz())
-    block_of_row = np.searchsorted(starts, rows, side="right") - 1
-    col = matrix.indices
-    in_block = (col >= starts[block_of_row]) & (
-        col < starts[block_of_row + 1]
+    # classify every nonzero by the block of its row: the column's
+    # offset into that block, and whether it falls inside it
+    row_block = np.repeat(np.arange(nb), block_sizes)
+    first = starts[row_block]  # first row (= first column) of the block
+    row_nnz = matrix.row_nnz()
+    offset = matrix.indices - np.repeat(first, row_nnz)
+    inside = (offset >= 0) & (
+        offset < np.repeat(block_sizes[row_block], row_nnz)
     )
-    b_sel = block_of_row[in_block]
-    r_sel = rows[in_block] - starts[b_sel]
-    c_sel = col[in_block] - starts[b_sel]
-    data[b_sel, r_sel, c_sel] = matrix.values[in_block]
+    # flat position of (block, local row, column 0) of every row
+    row_base = (row_block * tile + np.arange(matrix.n_rows) - first) * tile
+    flat = np.repeat(row_base, row_nnz)[inside] + offset[inside]
+    data.reshape(-1)[flat] = matrix.values[inside]
     return BatchedMatrices(data, block_sizes.copy())
 
 

@@ -25,35 +25,60 @@ from ..sparse.csr import CsrMatrix
 __all__ = ["find_supervariables", "agglomerate", "supervariable_blocking"]
 
 
+#: elements compared per pass of :func:`find_supervariables`: small
+#: enough that a pass's temporaries stay in cache between its steps.
+#: On the 1.2M-nonzero ``fem_block_2d(125, 125, 4)`` matrix, between
+#: the solves of a benchmark loop on a 2-vCPU x86 host, 32k-element
+#: passes took 6 ms and one whole-matrix pass 10 ms.
+_PASS_ELEMENTS = 1 << 15
+
+
 def find_supervariables(matrix: CsrMatrix) -> np.ndarray:
     """Sizes of maximal runs of consecutive rows with equal patterns.
 
-    Returns an integer array summing to ``n_rows``.  Pattern equality
-    is decided by a hash pre-filter followed by an exact comparison of
-    the column-index slices, so hash collisions cannot merge distinct
-    patterns.
+    Returns an integer array summing to ``n_rows``.  Row ``r`` repeats
+    row ``r - 1`` when both have the same length ``L`` and the same
+    column indices.  The comparison is exact and loop-free within a
+    pass over about ``_PASS_ELEMENTS`` elements: the two rows sit next
+    to each other in ``indices``, so element ``p`` of row ``r`` is
+    compared with element ``p - L``.  Nothing is decided by a hash, so
+    no collision can merge two distinct patterns.
     """
     n = matrix.n_rows
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    hashes = matrix.row_pattern_hashes()
-    sizes = []
-    run = 1
-    for r in range(1, n):
-        same = hashes[r] == hashes[r - 1]
-        if same:
-            lo0, hi0 = matrix.indptr[r - 1], matrix.indptr[r]
-            lo1, hi1 = matrix.indptr[r], matrix.indptr[r + 1]
-            same = (hi0 - lo0 == hi1 - lo1) and np.array_equal(
-                matrix.indices[lo0:hi0], matrix.indices[lo1:hi1]
-            )
-        if same:
-            run += 1
-        else:
-            sizes.append(run)
-            run = 1
-    sizes.append(run)
-    return np.asarray(sizes, dtype=np.int64)
+    indptr, indices = matrix.indptr, matrix.indices
+    counts = matrix.row_nnz()
+    # passes start at the rows holding every _PASS_ELEMENTS-th element
+    # (rows before the first element are empty and need no pass)
+    firsts = np.searchsorted(
+        indptr, np.arange(0, matrix.nnz, _PASS_ELEMENTS), side="right"
+    ) - 1
+    edges = np.unique(np.append(firsts, n))
+    row_differs = np.zeros(n, dtype=np.uint8)
+    for r0, r1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        lo, hi = indptr[r0], indptr[r1]
+        length = counts[r0:r1]
+        # element p against element p - L (rows whose predecessor is
+        # not as long compare garbage and are not candidates anyway)
+        prev = np.arange(lo, hi)
+        prev -= np.repeat(length, length)
+        # one flag byte per element; the trailing 0 closes the last row
+        differs = np.zeros(hi - lo + 1, dtype=np.uint8)
+        np.not_equal(
+            indices[lo:hi], indices[prev], out=differs[:-1].view(bool)
+        )
+        row_differs[r0:r1] = np.bitwise_or.reduceat(
+            differs, indptr[r0:r1] - lo
+        )
+    repeats = np.zeros(n, dtype=bool)
+    repeats[1:] = (counts[1:] == counts[:-1]) & (
+        (row_differs[1:] == 0) | (counts[1:] == 0)
+    )
+    # a run starts at row 0 and at every row that does not repeat its
+    # predecessor
+    starts = np.flatnonzero(~repeats)
+    return np.diff(np.append(starts, n))
 
 
 def agglomerate(sv_sizes: np.ndarray, max_block_size: int) -> np.ndarray:
@@ -68,8 +93,7 @@ def agglomerate(sv_sizes: np.ndarray, max_block_size: int) -> np.ndarray:
         raise ValueError("max_block_size must be positive")
     blocks: list[int] = []
     current = 0
-    for s in np.asarray(sv_sizes, dtype=np.int64):
-        s = int(s)
+    for s in np.asarray(sv_sizes, dtype=np.int64).tolist():
         while s > max_block_size:
             # flush, then emit full blocks out of the oversized group
             if current:

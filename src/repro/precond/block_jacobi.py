@@ -51,7 +51,7 @@ batched factorization flags:
 Whatever happened is summarised in the ``report`` attribute (a
 :class:`~repro.precond.report.SetupReport`) with per-block status,
 substitution actions and 1-norm condition estimates of the surviving
-blocks.
+blocks (computed when first read, not during setup).
 
 The vector gather/scatter between the sparse unknown ordering and the
 padded batch layout is precomputed once in ``setup`` so every ``apply``
@@ -61,6 +61,7 @@ permutation with the register load (Section III-B).
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from typing import Literal
@@ -107,9 +108,11 @@ class BlockJacobiPreconditioner(Preconditioner):
         (default), ``"identity"``, ``"scalar"``, ``"shift"`` - see the
         module docstring.
     estimate_condition:
-        Estimate the 1-norm condition number of every surviving block
-        during setup (``tile`` extra batched solves); stored in the
-        ``report``.  On by default.
+        Offer 1-norm condition estimates of the surviving blocks in the
+        ``report``.  On by default.  Setup does not compute them: the
+        first read of ``report.condition_estimates`` runs ``tile``
+        batched solves against this setup's factors and caches the
+        result.  Off, the report's estimates are None.
     apply_mode:
         How ``apply`` answers: ``"factor"`` (default) runs the
         method's native solve against the stored factors;
@@ -148,7 +151,8 @@ class BlockJacobiPreconditioner(Preconditioner):
         :class:`~repro.runtime.RuntimeReport` of the setup's
         factorization call; also attached to ``report.runtime``.
     setup_seconds:
-        Wall time of extraction + factorization (+ estimation).
+        Wall time of blocking, extraction and factorization (the
+        condition estimate is not part of setup).
     """
 
     def __init__(
@@ -288,16 +292,19 @@ class BlockJacobiPreconditioner(Preconditioner):
         self.block_sizes = sizes
         with tr.span("precond.setup.extract", cat="precond"):
             blocks = extract_blocks(matrix, sizes, dtype=self.dtype)
-        anorm1 = self._block_1norms(blocks)
         with tr.span("precond.setup.factorize", cat="precond"):
             self._factorize(blocks)
         self._build_index_maps(blocks)
         if self.estimate_condition:
-            with tr.span("precond.setup.estimate", cat="precond"):
-                cond = self._estimate_conditions(anorm1)
-        else:
-            cond = None
-        self.report.condition_estimates = cond
+            # bound to this setup's factor, so a later rebuild() cannot
+            # change what this report answers
+            self.report.condition_estimator = functools.partial(
+                _estimate_conditions,
+                self._factor,
+                blocks,
+                self._valid,
+                self.report.action,
+            )
         self.setup_seconds = time.perf_counter() - t0
         self.report.setup_seconds = self.setup_seconds
         return self
@@ -376,46 +383,13 @@ class BlockJacobiPreconditioner(Preconditioner):
         )
 
     def _build_index_maps(self, blocks: BatchedMatrices) -> None:
-        nb, tile = blocks.nb, blocks.tile
         starts = np.concatenate([[0], np.cumsum(self.block_sizes)])
-        offsets = np.arange(tile)[None, :]
+        offsets = np.arange(blocks.tile)[None, :]
         gather = starts[:-1, None] + offsets
         valid = offsets < self.block_sizes[:, None]
         gather = np.where(valid, gather, 0)
         self._gather = gather
         self._valid = valid
-        self._tile = tile
-
-    def _block_1norms(self, blocks: BatchedMatrices) -> np.ndarray:
-        """``||D_i||_1`` of every active block (max active column sum)."""
-        mask = blocks.active_mask()
-        colsums = (np.abs(blocks.data) * mask).sum(axis=1)
-        return colsums.max(axis=1)
-
-    def _estimate_conditions(self, anorm1: np.ndarray) -> np.ndarray:
-        """1-norm condition estimates of the surviving blocks.
-
-        The blocks are tiny (at most ``MAX_TILE`` rows), so
-        ``||D_i^{-1}||_1`` is computed *exactly* by solving against all
-        ``tile`` unit vectors with the stored factorization - ``tile``
-        extra batched solves, the same order of work as the
-        factorization itself.  Substituted blocks report NaN: their
-        stored factor no longer represents the original block.
-        """
-        nb, tile = self.block_sizes.size, self._tile
-        invnorm1 = np.zeros(nb)
-        for j in range(tile):
-            e = np.zeros((nb, tile), dtype=self.dtype)
-            e[:, j] = 1.0
-            sol = self._factor.solve(
-                BatchedVectors(e, self.block_sizes.copy())
-            )
-            colsum = (np.abs(sol.data) * self._valid).sum(axis=1)
-            active = j < self.block_sizes
-            np.maximum(invnorm1, colsum, out=invnorm1, where=active)
-        cond = anorm1 * invnorm1
-        cond[self.report.action != 0] = np.nan
-        return cond
 
     # -- application -----------------------------------------------------------
 
@@ -472,3 +446,32 @@ class BlockJacobiPreconditioner(Preconditioner):
             f"bound={self.max_block_size}, blocks={nb}, "
             f"on_singular={self.on_singular!r})"
         )
+
+
+def _estimate_conditions(
+    factor, blocks: BatchedMatrices, valid: np.ndarray, action: np.ndarray
+) -> np.ndarray:
+    """1-norm condition estimates ``||D_i||_1 * ||D_i^{-1}||_1``.
+
+    The blocks are tiny (at most ``MAX_TILE`` rows), so
+    ``||D_i^{-1}||_1`` is computed *exactly* by solving against all
+    ``tile`` unit vectors with the stored factorization - ``tile``
+    batched solves, the same order of work as the factorization itself.
+    Substituted blocks (``action != 0``) report NaN: their stored factor
+    no longer represents the original block.
+    """
+    nb, tile, sizes = blocks.nb, blocks.tile, blocks.sizes
+    with get_tracer().span("precond.setup.estimate", cat="precond"):
+        # ||D_i||_1: the largest active column sum
+        colsums = (np.abs(blocks.data) * blocks.active_mask()).sum(axis=1)
+        anorm1 = colsums.max(axis=1)
+        invnorm1 = np.zeros(nb)
+        for j in range(tile):
+            e = np.zeros((nb, tile), dtype=blocks.dtype)
+            e[:, j] = 1.0
+            sol = factor.solve(BatchedVectors(e, sizes.copy()))
+            colsum = (np.abs(sol.data) * valid).sum(axis=1)
+            np.maximum(invnorm1, colsum, out=invnorm1, where=j < sizes)
+    cond = anorm1 * invnorm1
+    cond[action != 0] = np.nan
+    return cond

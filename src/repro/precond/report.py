@@ -10,7 +10,8 @@ prints its :meth:`~SetupReport.summary`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -53,17 +54,17 @@ class SetupReport:
     n_nonspd:
         Number of blocks the Cholesky factorization flagged (0 unless
         ``method="cholesky"``).
-    condition_estimates:
-        1-norm condition estimates ``||D_i||_1 * ||D_i^{-1}||_1`` of the
-        surviving (non-substituted) blocks; NaN for substituted blocks
-        and when estimation was disabled.
+    condition_estimator:
+        Computes :attr:`condition_estimates` from the factorization the
+        setup produced; None when estimation was disabled.
     apply_mode, effective_apply_mode:
         The apply mode requested at construction and the one actually
         in force after setup (``"factor"`` when the explicit inverse
         could not be built, ``"mixed"`` when the runtime autotuner
         kept it on some bins only).
     setup_seconds:
-        Wall time of extraction + factorization (+ estimation).
+        Wall time of blocking, extraction and factorization (the
+        condition estimate runs later, on first read).
     runtime:
         The :class:`~repro.runtime.stats.RuntimeReport` of the setup's
         factorization when it ran through the
@@ -80,11 +81,33 @@ class SetupReport:
     shift: np.ndarray
     cholesky_lu_fallback: bool = False
     n_nonspd: int = 0
-    condition_estimates: np.ndarray | None = None
+    condition_estimator: Callable[[], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
     setup_seconds: float = 0.0
     apply_mode: str = "factor"
     effective_apply_mode: str = "factor"
     runtime: RuntimeReport | None = None
+    _condition_estimates: np.ndarray | None = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def condition_estimates(self) -> np.ndarray | None:
+        """1-norm condition estimates ``||D_i||_1 * ||D_i^{-1}||_1`` of
+        the surviving (non-substituted) blocks; NaN for substituted
+        blocks, None when estimation was disabled.
+
+        Nothing on the solve path needs them, so setup does not pay for
+        them: the first read runs ``tile`` batched unit-vector solves
+        against the factorization *this* setup produced (a later
+        ``rebuild()`` binds a new report to the new factor) and caches
+        the result.  Those solves count in ``runtime.solves``.
+        """
+        if self.condition_estimator is not None:
+            self._condition_estimates = self.condition_estimator()
+            self.condition_estimator = None
+        return self._condition_estimates
 
     @property
     def n_blocks(self) -> int:

@@ -189,26 +189,23 @@ class CsrMatrix:
         return out
 
     def row_pattern_hashes(self) -> np.ndarray:
-        """Order-independent hash of each row's column pattern.
-
-        Used by supervariable blocking to find consecutive rows with
-        identical sparsity patterns in O(nnz).
-        """
-        # polynomial hash over sorted column indices; collision chance
-        # is negligible and candidates are verified exactly anyway.
-        h = np.zeros(self.n_rows, dtype=np.uint64)
+        """Order-independent hash of each row's column pattern, in
+        O(nnz): rows with equal patterns hash alike.  A summary, not a
+        proof of equality (supervariable blocking compares the column
+        indices themselves)."""
         cols = self.indices.astype(np.uint64)
         mixed = (cols + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(
             0xBF58476D1CE4E5B9
         )
         mixed ^= mixed >> np.uint64(27)
         counts = np.diff(self.indptr)
-        if self.nnz:
-            starts = np.minimum(self.indptr[:-1], self.nnz - 1)
-            sums = np.add.reduceat(mixed, starts)
-            h = np.where(counts == 0, np.uint64(0), sums)
-            h = h * np.uint64(31) + counts.astype(np.uint64)
-        return h
+        # a trailing zero closes the last nonempty row, which empty rows
+        # after it would otherwise cut short
+        sums = np.add.reduceat(
+            np.append(mixed, np.uint64(0)), self.indptr[:-1]
+        )
+        h = np.where(counts == 0, np.uint64(0), sums)
+        return h * np.uint64(31) + counts.astype(np.uint64)
 
     def with_scaled_rows(self, scale: np.ndarray) -> "CsrMatrix":
         """Return a copy with row ``r`` multiplied by ``scale[r]``."""

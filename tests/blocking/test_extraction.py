@@ -2,15 +2,43 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.blocking import (
     extract_blocks,
     extraction_stats,
     supervariable_blocking,
 )
+from repro.core.batch import round_up_tile
 from repro.sparse import CsrMatrix, circuit_like, fem_block_2d
-from tests.strategies import bounds, random_sparse_dense, seeds
+from tests.strategies import bounds, random_sparse_dense, raw_csr_arrays, seeds
+
+
+def extract_blocks_by_blocks(matrix, block_sizes, tile=None, dtype=np.float64):
+    """The extraction ``extract_blocks`` used to run: identity padding
+    zeroed block by block, and a search for every nonzero's block."""
+    block_sizes = np.asarray(block_sizes, dtype=np.int64)
+    nb = block_sizes.size
+    if tile is None:
+        tile = round_up_tile(int(block_sizes.max())) if nb else 1
+    starts = np.concatenate([[0], np.cumsum(block_sizes)])
+    data = np.zeros((nb, tile, tile), dtype=dtype)
+    idx = np.arange(tile)
+    data[:, idx, idx] = 1.0
+    for b in range(nb):
+        m = block_sizes[b]
+        data[b, :m, :m] = 0.0
+    rows = np.repeat(np.arange(matrix.n_rows), matrix.row_nnz())
+    block_of_row = np.searchsorted(starts, rows, side="right") - 1
+    col = matrix.indices
+    in_block = (col >= starts[block_of_row]) & (
+        col < starts[block_of_row + 1]
+    )
+    b_sel = block_of_row[in_block]
+    r_sel = rows[in_block] - starts[b_sel]
+    c_sel = col[in_block] - starts[b_sel]
+    data[b_sel, r_sel, c_sel] = matrix.values[in_block]
+    return data
 
 
 class TestExtractBlocks:
@@ -70,6 +98,31 @@ class TestExtractBlocks:
             np.testing.assert_array_equal(
                 rebuilt[s : s + m, s : s + m], D[s : s + m, s : s + m]
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    raw=raw_csr_arrays(),
+    seed=seeds,
+    dtype=st.sampled_from([np.float64, np.float32]),
+    tile=st.sampled_from([None, 32]),
+)
+def test_extract_blocks_matches_the_block_loop_bitwise(raw, seed, dtype, tile):
+    """The loop-free extraction == the block-by-block loop, bit for bit,
+    over random partitions, unsorted rows with duplicate columns (the
+    last one wins in both), empty rows, both precisions and an
+    oversized tile."""
+    n_rows, n_cols, indptr, indices, values = raw
+    A = CsrMatrix(n_rows, n_cols, indptr, indices, values, sort=False)
+    rng = np.random.default_rng(seed)
+    sizes, left = [], n_rows
+    while left:
+        sizes.append(min(left, int(rng.integers(1, 9))))
+        left -= sizes[-1]
+    got = extract_blocks(A, sizes, tile=tile, dtype=dtype)
+    ref = extract_blocks_by_blocks(A, sizes, tile=tile, dtype=dtype)
+    assert got.data.dtype == ref.dtype and got.data.shape == ref.shape
+    assert got.data.tobytes() == ref.tobytes()
 
 
 class TestExtractionStats:

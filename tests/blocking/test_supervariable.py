@@ -1,12 +1,41 @@
 """Tests for supervariable blocking (repro.blocking.supervariable)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.blocking import agglomerate, find_supervariables, supervariable_blocking
+from repro.blocking import supervariable
 from repro.sparse import CsrMatrix, fem_block_2d, laplacian_2d
-from tests.strategies import bounds, supervariable_runs
+from tests.strategies import bounds, pattern_run_csr, supervariable_runs
+
+
+def find_supervariables_by_rows(matrix: CsrMatrix) -> np.ndarray:
+    """The per-row loop ``find_supervariables`` used to run: a hash
+    pre-filter, then an exact comparison of the two index slices."""
+    n = matrix.n_rows
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    hashes = matrix.row_pattern_hashes()
+    sizes = []
+    run = 1
+    for r in range(1, n):
+        same = hashes[r] == hashes[r - 1]
+        if same:
+            lo0, hi0 = matrix.indptr[r - 1], matrix.indptr[r]
+            lo1, hi1 = matrix.indptr[r], matrix.indptr[r + 1]
+            same = (hi0 - lo0 == hi1 - lo1) and np.array_equal(
+                matrix.indices[lo0:hi0], matrix.indices[lo1:hi1]
+            )
+        if same:
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    sizes.append(run)
+    return np.asarray(sizes, dtype=np.int64)
 
 
 class TestFindSupervariables:
@@ -36,6 +65,59 @@ class TestFindSupervariables:
     def test_empty_matrix(self):
         A = CsrMatrix(0, 0, [0], [], [])
         assert find_supervariables(A).size == 0
+
+    def test_equal_length_neighbours_with_different_columns_split(self):
+        # rows 0-1 and rows 2-3 have two entries each; only the last
+        # column differs between the two runs
+        A = CsrMatrix(
+            4, 4, [0, 2, 4, 6, 8], [0, 1, 0, 1, 0, 2, 0, 2], np.ones(8)
+        )
+        np.testing.assert_array_equal(find_supervariables(A), [2, 2])
+
+    def test_empty_rows_group_and_trailing_rows_close(self):
+        # rows: {0,1}, {0,1}, {}, {}, {0,2}, {0,2}, {}; the last pair
+        # repeats even though empty rows follow it
+        A = CsrMatrix(
+            7, 3, [0, 2, 4, 4, 4, 6, 8, 8],
+            [0, 1, 0, 1, 0, 2, 0, 2], np.ones(8),
+        )
+        np.testing.assert_array_equal(find_supervariables(A), [2, 2, 2, 1])
+
+    def test_hash_collisions_cannot_merge_patterns(self, monkeypatch):
+        """With every row hashing alike, distinct patterns still split."""
+        monkeypatch.setattr(
+            CsrMatrix,
+            "row_pattern_hashes",
+            lambda self: np.zeros(self.n_rows, dtype=np.uint64),
+        )
+        D = np.zeros((5, 5))
+        D[0:2, [0, 1]] = 1.0
+        D[2:4, [0, 2]] = 1.0  # same length as rows 0-1
+        D[4, [3, 4]] = 1.0
+        A = CsrMatrix.from_dense(D)
+        np.testing.assert_array_equal(find_supervariables(A), [2, 2, 1])
+        np.testing.assert_array_equal(find_supervariables_by_rows(A), [2, 2, 1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fem_matches_the_per_row_loop(self, seed):
+        A = fem_block_2d(9, 7, 3, seed=seed)
+        np.testing.assert_array_equal(
+            find_supervariables(A), find_supervariables_by_rows(A)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=pattern_run_csr(), pass_elements=st.sampled_from([1, 2, 5, 1 << 15]))
+def test_find_supervariables_matches_the_per_row_loop(A, pass_elements):
+    """Vectorized detection == the per-row loop over runs of repeated
+    patterns, equal-length neighbours, empty and unsorted rows, whether
+    one pass covers the matrix or passes split it anywhere."""
+    with mock.patch.object(supervariable, "_PASS_ELEMENTS", pass_elements):
+        sizes = find_supervariables(A)
+    ref = find_supervariables_by_rows(A)
+    assert sizes.dtype == ref.dtype
+    np.testing.assert_array_equal(sizes, ref)
+    assert sizes.sum() == A.n_rows
 
 
 class TestAgglomerate:

@@ -290,6 +290,65 @@ class TestSetupReport:
         assert M.report.condition_estimates is None
         assert np.isnan(M.report.max_condition)
 
+    def test_setup_runs_no_solves(self, fem):
+        M = BlockJacobiPreconditioner("lu", 16).setup(fem)
+        assert M.runtime_report.solves == 0
+
+    def test_first_read_solves_once_then_caches(self, fem):
+        M = BlockJacobiPreconditioner("lu", 16).setup(fem)
+        first = M.report.condition_estimates
+        solves = M.runtime_report.solves
+        assert solves > 0  # one per unit vector of the tile
+        assert M.report.condition_estimates is first
+        assert M.report.max_condition == np.nanmax(first)
+        M.report.to_dict()
+        M.report.summary()
+        assert M.runtime_report.solves == solves
+
+    @pytest.mark.parametrize("apply_mode", ["factor", "inverse"])
+    def test_estimate_does_not_depend_on_when_it_is_read(
+        self, fem, apply_mode
+    ):
+        """Read after the preconditioner has been applied, the estimate
+        is bitwise the one read straight after setup."""
+        now = BlockJacobiPreconditioner(
+            "lu", 16, apply_mode=apply_mode
+        ).setup(fem)
+        expected = now.report.condition_estimates.copy()
+        later = BlockJacobiPreconditioner(
+            "lu", 16, apply_mode=apply_mode
+        ).setup(fem)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            later.apply(rng.standard_normal(fem.n_rows))
+        got = later.report.condition_estimates
+        assert got.tobytes() == expected.tobytes()
+
+    def test_each_setup_binds_its_own_factor(self, fem):
+        """A report read after a later setup (or a rebuild) still
+        answers for the factor its own setup produced."""
+        scaled = fem.with_scaled_rows(np.linspace(1.0, 3.0, fem.n_rows))
+        ref_fem = BlockJacobiPreconditioner("lu", 16).setup(fem).report
+        ref_scaled = BlockJacobiPreconditioner("lu", 16).setup(scaled).report
+        M = BlockJacobiPreconditioner("lu", 16).setup(fem)
+        first = M.report
+        M.setup(scaled)
+        assert M.report is not first
+        np.testing.assert_array_equal(
+            first.condition_estimates, ref_fem.condition_estimates
+        )
+        np.testing.assert_array_equal(
+            M.report.condition_estimates, ref_scaled.condition_estimates
+        )
+        before = M.report
+        M.rebuild()
+        assert M.report is not before
+        assert M.runtime_report.solves == 0
+        np.testing.assert_array_equal(
+            M.report.condition_estimates, before.condition_estimates
+        )
+        assert M.runtime_report.solves > 0
+
     def test_summary_mentions_degradation(self):
         A, sizes = singular_block_matrix()
         M = BlockJacobiPreconditioner(

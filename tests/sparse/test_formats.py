@@ -104,6 +104,12 @@ class TestCsr:
         assert h[0] == h[1]
         assert h[0] != h[2] and h[0] != h[3] and h[2] != h[3]
 
+    def test_row_pattern_hashes_cover_the_row_before_empty_rows(self):
+        # rows {0,1}, {0,1}, {}: the last nonempty row hashes in full
+        A = CsrMatrix(3, 2, [0, 2, 4, 4], [0, 1, 0, 1], np.ones(4))
+        h = A.row_pattern_hashes()
+        assert h[0] == h[1] != h[2]
+
     def test_unsorted_indices_sorted_on_construction(self):
         A = CsrMatrix(1, 4, [0, 3], [3, 0, 2], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(A.indices, [0, 2, 3])

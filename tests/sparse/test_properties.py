@@ -3,9 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.sparse import CooMatrix
+from repro.sparse import CooMatrix, CsrMatrix
 from repro.sparse.reorder import bandwidth, permute_symmetric, rcm_ordering
-from tests.strategies import coo_matrices, seeds
+from tests.strategies import coo_matrices, raw_csr_arrays, seeds
 
 
 @settings(max_examples=50, deadline=None)
@@ -48,6 +48,34 @@ def test_csr_invariants(coo):
     for r in range(A.n_rows):
         seg = A.indices[A.indptr[r] : A.indptr[r + 1]]
         assert (np.diff(seg) > 0).all()  # strictly increasing = no dups
+
+
+def _sorted_by_rows(indptr, indices, values):
+    """Reference order: a stable ``argsort`` of each row on its own."""
+    indices, values = indices.copy(), values.copy()
+    for r in range(indptr.size - 1):
+        lo, hi = indptr[r], indptr[r + 1]
+        order = np.argsort(indices[lo:hi], kind="stable")
+        indices[lo:hi] = indices[lo:hi][order]
+        values[lo:hi] = values[lo:hi][order]
+    return indices, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_csr_arrays(), presort=st.booleans())
+def test_sort_matches_the_per_row_stable_argsort(raw, presort):
+    """Construction sorts every row stably, bit for bit: duplicate
+    columns keep their order and sorted input is left as it is."""
+    n_rows, n_cols, indptr, indices, values = raw
+    if presort:
+        indices, values = _sorted_by_rows(indptr, indices, values)
+    ref_indices, ref_values = _sorted_by_rows(indptr, indices, values)
+    A = CsrMatrix(n_rows, n_cols, indptr, indices, values)
+    np.testing.assert_array_equal(A.indptr, indptr)
+    np.testing.assert_array_equal(A.indices, ref_indices)
+    np.testing.assert_array_equal(
+        A.values.view(np.uint64), ref_values.view(np.uint64)
+    )
 
 
 def _diagonal_by_rows(A):

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core import BatchedMatrices, BatchedVectors
-from repro.sparse import CooMatrix
+from repro.sparse import CooMatrix, CsrMatrix
 
 __all__ = [
     "batch_shapes",
@@ -27,6 +27,8 @@ __all__ = [
     "make_rhs",
     "random_sparse_dense",
     "coo_matrices",
+    "pattern_run_csr",
+    "raw_csr_arrays",
 ]
 
 #: (nb, max block size) of a variable-size batch
@@ -101,3 +103,50 @@ def coo_matrices(draw):
     cols = rng.integers(0, n, nnz)
     vals = rng.standard_normal(nnz)
     return CooMatrix(n, n, rows, cols, vals)
+
+
+@st.composite
+def pattern_run_csr(draw):
+    """CSR matrices made of runs of consecutive rows that repeat one
+    column pattern.  Neighbouring runs often have patterns of the same
+    length (the case a hash pre-filter cannot settle), sometimes the
+    same pattern (the runs merge), and empty rows occur, trailing ones
+    included.  Rows are left in drawn order unless ``sort`` is drawn."""
+    n_cols = draw(st.integers(1, 12))
+    runs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=15))
+    rng = np.random.default_rng(draw(seeds))
+    rows = []
+    pattern = np.zeros(0, dtype=np.int64)
+    for run in runs:
+        roll = rng.random()
+        if roll < 0.2:
+            pass  # the previous pattern again
+        elif roll < 0.6 and pattern.size:
+            # same length, (usually) different columns
+            pattern = rng.choice(n_cols, size=pattern.size, replace=False)
+        else:
+            k = int(rng.integers(0, n_cols + 1))
+            pattern = rng.choice(n_cols, size=k, replace=False)
+        rows.extend([pattern] * run)
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])])
+    indices = np.concatenate(rows).astype(np.int64)
+    values = rng.standard_normal(indices.size)
+    return CsrMatrix(
+        len(rows), n_cols, indptr, indices, values, sort=draw(st.booleans())
+    )
+
+
+@st.composite
+def raw_csr_arrays(draw):
+    """``(n_rows, n_cols, indptr, indices, values)`` with unsorted rows,
+    duplicate columns within a row and empty rows."""
+    n_rows = draw(st.integers(1, 20))
+    n_cols = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(seeds))
+    counts = rng.integers(0, 2 * n_cols + 1, n_rows)
+    counts[rng.random(n_rows) < 0.2] = 0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = rng.integers(0, n_cols, int(indptr[-1]))
+    # distinct values, so a reordering of duplicates shows
+    values = rng.permutation(indices.size).astype(np.float64)
+    return n_rows, n_cols, indptr, indices, values
