@@ -54,7 +54,9 @@ substitution actions and 1-norm condition estimates of the surviving
 blocks (computed when first read, not during setup).
 
 The vector gather/scatter between the sparse unknown ordering and the
-padded batch layout is precomputed once in ``setup`` so every ``apply``
+padded batch layout is one read-only mask precomputed in ``setup``
+(block ``i``'s row ``j`` is unknown ``start_i + j``, so the active
+entries in row-major order are the vector itself), so every ``apply``
 is a handful of vectorised operations - the CPU analogue of fusing the
 permutation with the register load (Section III-B).
 """
@@ -117,9 +119,12 @@ class BlockJacobiPreconditioner(Preconditioner):
         How ``apply`` answers: ``"factor"`` (default) runs the
         method's native solve against the stored factors;
         ``"inverse"`` additionally builds explicit per-block inverses
-        during setup (identity-RHS solves through the factors; a
-        re-wrap for ``method="gje"``, whose factors already *are*
-        inverses) so every apply collapses to one batched GEMV;
+        during setup (LAPACK ``getri`` on the LU factors, at each
+        block's exact size, costing about one more factorization;
+        unit-vector solves through the ``gh``/``ght``/``cholesky``
+        factors; a re-wrap for ``method="gje"``, whose factors already
+        *are* inverses) so every apply is a gather, one batched GEMV
+        per size bin and a scatter;
         ``"auto"`` lets the runtime's autotuner measure both paths per
         bin and keep the winner.  The effective mode actually in force
         is recorded in the setup report - backends that cannot invert
@@ -209,7 +214,6 @@ class BlockJacobiPreconditioner(Preconditioner):
         self._effective_method: str = method
         self._effective_apply_mode: str = "factor"
         self._n = 0
-        self._gather: np.ndarray | None = None
         self._valid: np.ndarray | None = None
 
     # -- setup ---------------------------------------------------------------
@@ -383,12 +387,11 @@ class BlockJacobiPreconditioner(Preconditioner):
         )
 
     def _build_index_maps(self, blocks: BatchedMatrices) -> None:
-        starts = np.concatenate([[0], np.cumsum(self.block_sizes)])
-        offsets = np.arange(blocks.tile)[None, :]
-        gather = starts[:-1, None] + offsets
-        valid = offsets < self.block_sizes[:, None]
-        gather = np.where(valid, gather, 0)
-        self._gather = gather
+        # unknown starts[i] + j is entry (i, j) of the padded layout, so
+        # in row-major order the active entries are x itself: the mask
+        # is both the gather and the scatter map
+        valid = np.arange(blocks.tile)[None, :] < self.block_sizes[:, None]
+        valid.flags.writeable = False
         self._valid = valid
 
     # -- application -----------------------------------------------------------
@@ -429,15 +432,11 @@ class BlockJacobiPreconditioner(Preconditioner):
                 f"vector of length {length} does not match matrix "
                 f"dimension {self._n}"
             )
-        seg = x[self._gather].astype(self.dtype, copy=False)
-        seg = np.where(self._valid, seg, 0.0).astype(self.dtype, copy=False)
-        rhs = BatchedVectors(
-            np.ascontiguousarray(seg), self.block_sizes.copy()
-        )
-        sol = self._factor.solve(rhs)
-        out = np.empty(self._n, dtype=np.float64)
-        out[self._gather[self._valid]] = sol.data[self._valid]
-        return out
+        seg = np.zeros(self._valid.shape, dtype=self.dtype)
+        seg[self._valid] = x
+        sol = self._factor.solve(seg)
+        # a fresh array on every call: Krylov loops keep earlier results
+        return sol[self._valid].astype(np.float64, copy=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nb = 0 if self.block_sizes is None else self.block_sizes.size

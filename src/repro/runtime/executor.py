@@ -173,11 +173,20 @@ class RuntimeFactorization:
                     total += int(state.inverses.data.nbytes)
         return total
 
-    def solve(self, rhs: BatchedVectors) -> BatchedVectors:
-        """Solve against every block, timed into the handle's report."""
-        if rhs.nb != self.plan.nb or rhs.tile != self.plan.source_tile:
+    def solve(self, rhs):
+        """Solve against every block, timed into the handle's report.
+
+        ``rhs`` is a :class:`~repro.core.batch.BatchedVectors` (the
+        solutions come back in one), or its raw ``(nb, source_tile)``
+        data array, C-contiguous and zero beyond each block's size (the
+        solutions come back as a fresh array and no container is built
+        on the inverse path: the block-Jacobi apply's form).  ``rhs``
+        is only read.
+        """
+        data = rhs if isinstance(rhs, np.ndarray) else rhs.data
+        if data.shape != (self.plan.nb, self.plan.source_tile):
             raise ValueError(
-                f"rhs geometry ({rhs.nb}, {rhs.tile}) does not match the "
+                f"rhs geometry {data.shape} does not match the "
                 f"factorized batch ({self.plan.nb}, {self.plan.source_tile})"
             )
         mode = (
@@ -188,37 +197,38 @@ class RuntimeFactorization:
         t0 = time.perf_counter()
         with self.report.timer().stage("solve"):
             if not self.resilient:
-                out = self._mode_solve(rhs, mode)
+                out = self._mode_solve(data, mode)
             else:
-                out = self._resilient_solve(rhs, mode)
+                out = self._resilient_solve(data, mode)
         get_metrics().histogram(
             "repro_apply_seconds",
             "Wall seconds per preconditioner apply, by apply mode",
         ).observe(time.perf_counter() - t0, mode=mode)
         self._solves += 1
         self.report.solves += 1
-        return out
+        if data is rhs:
+            return out
+        return BatchedVectors(out, rhs.sizes.copy())
 
-    def _mode_solve(self, rhs: BatchedVectors, mode: str) -> BatchedVectors:
+    def _mode_solve(self, data: np.ndarray, mode: str) -> np.ndarray:
         if mode != "factor" and self.inverse is not None:
             return self.backend.apply_inverse(
-                self.inverse, self.result.state, self.plan, rhs
+                self.inverse, self.result.state, self.plan, data
             )
-        return self.backend.solve(self.result.state, self.plan, rhs)
+        rhs = BatchedVectors(data, self.plan.source.sizes)
+        return self.backend.solve(self.result.state, self.plan, rhs).data
 
     # -- resilient solve path ---------------------------------------------
 
-    def _resilient_solve(
-        self, rhs: BatchedVectors, mode: str = "factor"
-    ) -> BatchedVectors:
+    def _resilient_solve(self, data: np.ndarray, mode: str) -> np.ndarray:
         err: BaseException | None = None
         out = None
         try:
             with np.errstate(all="ignore"):
-                out = self._mode_solve(rhs, mode)
+                out = self._mode_solve(data, mode)
         except Exception as e:
             err = e
-        if out is not None and self._solve_corrupted(out, rhs):
+        if out is not None and self._solve_corrupted(out, data):
             err = RuntimeExecutionError(
                 "non-finite solve output on blocks with clean info"
             )
@@ -238,16 +248,16 @@ class RuntimeFactorization:
             )
             try:
                 with np.errstate(all="ignore"):
-                    out = self._mode_solve(rhs, "factor")
+                    out = self._mode_solve(data, "factor")
             except Exception as e:
                 err = e
-            if out is not None and self._solve_corrupted(out, rhs):
+            if out is not None and self._solve_corrupted(out, data):
                 err = RuntimeExecutionError(
                     "non-finite solve output on blocks with clean info"
                 )
                 out = None
         if out is None:
-            out = self._reference_solve(rhs)
+            out = self._reference_solve(data)
             self.report.solve_fallbacks += 1
             _note_fallback(
                 self.report,
@@ -260,19 +270,17 @@ class RuntimeFactorization:
             )
         return out
 
-    def _solve_corrupted(
-        self, out: BatchedVectors, rhs: BatchedVectors
-    ) -> bool:
+    def _solve_corrupted(self, out: np.ndarray, data: np.ndarray) -> bool:
         """Non-finite output on a healthy block with finite input proves
         the stored factors (or the solve path) are damaged."""
         src = self.plan.source
         mask = np.arange(src.tile)[None, :] < src.sizes[:, None]
-        rhs_finite = np.isfinite(np.where(mask, rhs.data, 0.0)).all(axis=1)
-        out_finite = np.isfinite(np.where(mask, out.data, 0.0)).all(axis=1)
+        rhs_finite = np.isfinite(np.where(mask, data, 0.0)).all(axis=1)
+        out_finite = np.isfinite(np.where(mask, out, 0.0)).all(axis=1)
         healthy = self.result.info == 0
         return bool((healthy & rhs_finite & ~out_finite).any())
 
-    def _reference_solve(self, rhs: BatchedVectors) -> BatchedVectors:
+    def _reference_solve(self, data: np.ndarray) -> np.ndarray:
         """Solve via a lazily-built reference (numpy) factorization of
         the pristine source batch, with the handle's policy semantics
         (``"raise"`` maps to None: the original factorization already
@@ -286,7 +294,8 @@ class RuntimeFactorization:
             ref_fac = ref.factorize(ref_plan, self.method, policy)
             self._reference = (ref, ref_plan, ref_fac)
         ref, ref_plan, ref_fac = self._reference
-        return ref.solve(ref_fac.state, ref_plan, rhs)
+        rhs = BatchedVectors(data, self.plan.source.sizes)
+        return ref.solve(ref_fac.state, ref_plan, rhs).data
 
 
 class BatchRuntime:

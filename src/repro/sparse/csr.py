@@ -45,14 +45,27 @@ class CsrMatrix:
         ):
             raise ValueError("column index out of range")
         if sort:
-            self._sort_indices()
+            self._sort_indices(indices, values)
 
-    def _sort_indices(self) -> None:
+    def _sort_indices(self, indices, values) -> None:
+        """Sort each row's column indices in place (stable, so values of
+        repeated columns keep their order).  The caller's ``indices``
+        and ``values`` are never written: before the first row is
+        reordered, any array that may share memory with them (``asarray``
+        does not copy a matching dtype) is copied."""
+        own = False
         for r in range(self.n_rows):
             lo, hi = self.indptr[r], self.indptr[r + 1]
             if hi - lo > 1:
                 seg = self.indices[lo:hi]
                 if (np.diff(seg) <= 0).any():
+                    if not own:
+                        if np.may_share_memory(self.indices, indices):
+                            self.indices = self.indices.copy()
+                        if np.may_share_memory(self.values, values):
+                            self.values = self.values.copy()
+                        own = True
+                        seg = self.indices[lo:hi]
                     order = np.argsort(seg, kind="stable")
                     self.indices[lo:hi] = seg[order]
                     self.values[lo:hi] = self.values[lo:hi][order]

@@ -9,8 +9,11 @@ agrees with the native triangular-solve apply on the same factors.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    BatchedMatrices,
     GJEInverseState,
     batched_gauss_jordan,
     inverse_apply,
@@ -19,11 +22,12 @@ from repro.core import (
 from repro.core.batched_cholesky import cholesky_factor
 from repro.core.batched_gauss_huard import gh_factor
 from repro.core.batched_gauss_jordan import gj_invert
-from repro.core.batched_lu import lu_factor
+from repro.core.batched_lu import LUFactors, lu_factor, lu_reconstruct
 from repro.core.batched_trsv import lu_solve
+from repro.core.interleaved import interleaved_getrf_factor
 from repro.core.random_batches import random_batch, random_rhs
 
-from tests.strategies import make_batch, make_rhs
+from tests.strategies import make_batch, make_rhs, seeds, tile_batch_shapes
 
 SEED = 1234
 
@@ -170,3 +174,103 @@ class TestInverseApply:
         np.testing.assert_allclose(
             x_gemv.data, x_trsv.data, rtol=1e-9, atol=1e-12
         )
+
+
+#: the two LU layouts ``invert_factors`` inverts with LAPACK ``getri``
+LU_LAYOUTS = {
+    "aos": lambda b, **kw: lu_factor(b, pivoting="implicit", **kw),
+    "soa": interleaved_getrf_factor,
+}
+
+
+class TestGetriInverse:
+    """``lu`` inverses come from LAPACK ``getri`` on the stored factors,
+    at each block's exact size, in either factor layout."""
+
+    @given(
+        shape=tile_batch_shapes,
+        seed=seeds,
+        dtype=st.sampled_from([np.float64, np.float32]),
+        layout=st.sampled_from(sorted(LU_LAYOUTS)),
+        extra=st.integers(0, 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_times_inverse_is_identity(
+        self, shape, seed, dtype, layout, extra
+    ):
+        batch = make_batch(*shape, seed, dominant=False).astype(dtype)
+        fac = LU_LAYOUTS[layout](batch)
+        tile = min(batch.tile + extra, 32)
+        state = invert_factors(fac, tile=tile)
+        inv = state.inverses.data
+        assert inv.shape == (batch.nb, tile, tile) and inv.dtype == dtype
+        assert state.method == "lu" and state.ok
+        eps = np.finfo(dtype).eps
+        eye = np.eye(tile, dtype=dtype)
+        for i in range(batch.nb):
+            m = int(batch.sizes[i])
+            D = batch.block(i).astype(np.float64)
+            resid = np.abs(D @ inv[i, :m, :m] - np.eye(m)).max()
+            assert resid <= 100 * m * eps * np.linalg.cond(D, 1)
+            # the padding is exactly the identity
+            assert inv[i, m:, :].tobytes() == eye[m:, :].tobytes()
+            assert inv[i, :m, m:].tobytes() == eye[:m, m:].tobytes()
+
+    @given(shape=tile_batch_shapes, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_sub_batch_inverses_are_bitwise_the_full_batch_ones(
+        self, shape, seed
+    ):
+        batch = make_batch(*shape, seed, dominant=False)
+        rng = np.random.default_rng(seed)
+        idx = np.sort(
+            rng.choice(batch.nb, size=rng.integers(1, batch.nb + 1),
+                       replace=False)
+        )
+        t = int(batch.sizes[idx].max())
+        sub = BatchedMatrices(batch.data[idx, :t, :t], batch.sizes[idx])
+        full = invert_factors(interleaved_getrf_factor(batch), tile=32)
+        part = invert_factors(interleaved_getrf_factor(sub), tile=32)
+        assert (
+            part.inverses.data.tobytes()
+            == full.inverses.data[idx].tobytes()
+        )
+
+    @pytest.mark.parametrize("layout", sorted(LU_LAYOUTS))
+    @pytest.mark.parametrize("policy", ["identity", "scalar", "shift"])
+    def test_degraded_blocks_invert_their_substitute(self, layout, policy):
+        batch = _batch(nb=6, tile=8, dominant=False)
+        m = int(batch.sizes[2])
+        batch.data[2, :m, 0] = 0.0  # a zero column: singular, diagonal kept
+        fac = LU_LAYOUTS[layout](batch, on_singular=policy)
+        assert fac.ok and fac.degradation.action[2] != 0
+        state = invert_factors(fac)
+        aos = fac if isinstance(fac, LUFactors) else fac.to_aos()
+        substitutes = lu_reconstruct(aos)
+        for i in range(batch.nb):
+            k = int(batch.sizes[i])
+            np.testing.assert_allclose(
+                state.inverses.data[i, :k, :k],
+                np.linalg.inv(substitutes[i, :k, :k]),
+                rtol=1e-9,
+                atol=1e-12,
+            )
+        if policy == "identity":
+            assert (state.inverses.data[2] == np.eye(batch.tile)).all()
+
+    @pytest.mark.parametrize("layout", sorted(LU_LAYOUTS))
+    def test_singular_factors_raise(self, layout):
+        batch = _batch(nb=4, tile=4)
+        batch.data[1, :4, :4] = 0.0
+        fac = LU_LAYOUTS[layout](batch)
+        assert not fac.ok
+        with pytest.raises(ValueError, match="singular"):
+            invert_factors(fac)
+
+    def test_getri_failure_raises(self):
+        # clean info, but a U diagonal zeroed afterwards: getri's own
+        # info is nonzero and must not pass silently
+        fac = interleaved_getrf_factor(_batch(nb=3, tile=8))
+        fac.soa[1, 1, 2] = 0.0
+        with pytest.raises(ValueError, match="getri"):
+            invert_factors(fac)

@@ -94,6 +94,23 @@ class TestCsr:
         with pytest.raises(ValueError):
             A.extract_block(5, 4)
 
+    def test_sorting_leaves_the_callers_arrays_alone(self):
+        # int64 indices and float64 values pass through asarray uncopied
+        ind = np.array([3, 0, 2], dtype=np.int64)
+        val = np.array([30.0, 0.5, 20.0])
+        A = CsrMatrix(1, 4, [0, 3], ind, val)
+        np.testing.assert_array_equal(A.indices, [0, 2, 3])
+        np.testing.assert_array_equal(A.values, [0.5, 20.0, 30.0])
+        np.testing.assert_array_equal(ind, [3, 0, 2])
+        np.testing.assert_array_equal(val, [30.0, 0.5, 20.0])
+
+    def test_sorted_input_is_not_copied(self):
+        ind = np.array([0, 2, 3], dtype=np.int64)
+        val = np.array([0.5, 20.0, 30.0])
+        A = CsrMatrix(1, 4, [0, 3], ind, val)
+        assert np.shares_memory(A.indices, ind)
+        assert np.shares_memory(A.values, val)
+
     def test_row_pattern_hashes_group_equal_rows(self):
         D = np.zeros((4, 4))
         D[0, [0, 2]] = 1.0

@@ -20,6 +20,7 @@ from repro.sparse import CooMatrix, CsrMatrix
 
 __all__ = [
     "batch_shapes",
+    "tile_batch_shapes",
     "seeds",
     "bounds",
     "supervariable_runs",
@@ -35,6 +36,12 @@ __all__ = [
 batch_shapes = st.tuples(
     st.integers(min_value=1, max_value=12),  # nb
     st.integers(min_value=1, max_value=16),  # max size
+)
+
+#: (nb, max block size) reaching the largest warp tile
+tile_batch_shapes = st.tuples(
+    st.integers(min_value=1, max_value=12),  # nb
+    st.integers(min_value=1, max_value=32),  # max size
 )
 
 #: RNG seeds: large enough to decorrelate, small enough to shrink
