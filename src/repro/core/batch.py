@@ -39,6 +39,7 @@ __all__ = [
     "BatchedMatrices",
     "BatchedVectors",
     "round_up_tile",
+    "zero_pad_columns",
 ]
 
 #: Largest supported register tile; mirrors the CUDA warp width used by the
@@ -77,6 +78,16 @@ def round_up_tile(max_size: int) -> int:
     while tile < max_size:
         tile *= 2
     return tile
+
+
+def zero_pad_columns(rows: np.ndarray, width: int) -> np.ndarray:
+    """``rows`` zero-padded to ``width`` columns in a fresh C-contiguous
+    array; ``rows`` itself when it already is one of that width."""
+    if rows.shape[1] == width and rows.flags.c_contiguous:
+        return rows
+    x = np.zeros((rows.shape[0], width), dtype=rows.dtype)
+    x[:, : rows.shape[1]] = rows
+    return x
 
 
 def _as_dtype(dtype) -> np.dtype:
