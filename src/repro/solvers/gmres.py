@@ -85,24 +85,25 @@ def _gmres_impl(
 
     while resnorm > target and iters < maxiter:
         m = min(restart, maxiter - iters)
-        V = np.zeros((n, m + 1))
+        # Arnoldi basis and preconditioned directions, one row each
+        V = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
-        Z = np.zeros((n, m))  # preconditioned directions
+        Z = np.zeros((m, n))
         cs = np.zeros(m)
         sn = np.zeros(m)
         g = np.zeros(m + 1)
         g[0] = resnorm
-        V[:, 0] = r / resnorm
+        V[0] = r / resnorm
         j_used = 0
         for j in range(m):
-            Z[:, j] = M.apply(V[:, j])
-            w = matvec(Z[:, j])
+            Z[j] = M.apply(V[j])
+            w = matvec(Z[j])
             iters += 1
             # modified Gram-Schmidt
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(j + 1):
-                    H[i, j] = float(V[:, i] @ w)
-                    w -= H[i, j] * V[:, i]
+                    H[i, j] = float(V[i] @ w)
+                    w -= H[i, j] * V[i]
             H[j + 1, j] = safe_norm(w)
             if not np.isfinite(H[: j + 2, j]).all():
                 # a NaN/Inf Hessenberg column poisons every later Givens
@@ -111,7 +112,7 @@ def _gmres_impl(
                 j_used = j
                 break
             if H[j + 1, j] > 0:
-                V[:, j + 1] = w / H[j + 1, j]
+                V[j + 1] = w / H[j + 1, j]
             # apply previous Givens rotations to the new column
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -145,7 +146,7 @@ def _gmres_impl(
             diag = np.abs(np.diag(H[:j_used, :j_used]))
             if diag.min() > 0 and np.isfinite(diag).all():
                 y = np.linalg.solve(H[:j_used, :j_used], g[:j_used])
-                x = x + Z[:, :j_used] @ y
+                x = x + y @ Z[:j_used]
         r = b - matvec(x)
         resnorm = safe_norm(r)
         if not np.isfinite(resnorm):

@@ -15,6 +15,7 @@ step).  ``s = 4`` reproduces the paper's IDR(4).
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -50,6 +51,24 @@ def _omega(t: np.ndarray, r: np.ndarray) -> float:
         if rho < _OMEGA_ANGLE and rho > 0.0:
             om *= _OMEGA_ANGLE / rho
     return om
+
+
+def _forward_solve(L: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+    """Solve the small lower-triangular system ``L c = f`` by forward
+    substitution, or return None when a diagonal entry of ``L`` is zero
+    or non-finite (the system is singular or poisoned; IDR answers that
+    with a shadow-space restart).  ``L`` is at most ``s x s``, so plain
+    Python floats beat any NumPy or LAPACK call here."""
+    rows = L.tolist()
+    if any(row[j] == 0.0 or not math.isfinite(row[j])
+           for j, row in enumerate(rows)):
+        return None
+    c = []
+    for j, (row, fj) in enumerate(zip(rows, f.tolist())):
+        for i in range(j):
+            fj -= row[i] * c[i]
+        c.append(fj / row[j])
+    return np.array(c)
 
 
 def idrs(
@@ -91,8 +110,9 @@ def idrs(
         Bound the recorded history (see
         :class:`~repro.solvers.base.HistoryRecorder`).
     max_restarts:
-        How many times an ``Ms[k, k] == 0`` shadow-space breakdown may
-        be answered by re-seeding the shadow space (a fresh random
+        How many times a shadow-space breakdown (a zero or non-finite
+        diagonal entry of the small lower-triangular ``Ms``) may be
+        answered by re-seeding the shadow space (a fresh random
         orthonormal ``P``, reset recurrences) before the solve gives up
         with ``breakdown="shadow_space_breakdown"``.
     watchdog:
@@ -141,17 +161,18 @@ def _idrs_impl(
     hist.append(float(np.linalg.norm(r)))
     tr = get_tracer()
 
-    # shadow space: orthonormalised Gaussian block (rows of P)
+    # shadow space: orthonormalised Gaussian block (rows of P).  P, G
+    # and U are (s, n) and row-major, so every direction is contiguous.
     rng = np.random.default_rng(seed)
 
     def fresh_shadow_space() -> np.ndarray:
         P = rng.standard_normal((n, s))
         P, _ = np.linalg.qr(P)
-        return P.T  # (s, n)
+        return np.ascontiguousarray(P.T)
 
     P = fresh_shadow_space()
-    G = np.zeros((n, s))
-    U = np.zeros((n, s))
+    G = np.zeros((s, n))
+    U = np.zeros((s, n))
     Ms = np.eye(s)
     om = 1.0
     iters = 0
@@ -168,23 +189,22 @@ def _idrs_impl(
         broke = False
         for k in range(s):
             # solve the small lower-triangular system and form v _|_ P[:k]
-            try:
-                c = np.linalg.solve(Ms[k:, k:], f[k:])
-            except np.linalg.LinAlgError:
-                # exactly singular Ms: same remedy as Ms[k, k] == 0
+            c = _forward_solve(Ms[k:, k:], f[k:])
+            if c is None:
+                # singular Ms: same remedy as Ms[k, k] == 0 below
                 broke = True
                 break
-            v = r - G[:, k:] @ c
+            v = r - c @ G[k:]
             v = M.apply(v)
-            U[:, k] = U[:, k:] @ c + om * v
-            G[:, k] = matvec(U[:, k])
+            U[k] = c @ U[k:] + om * v
+            G[k] = matvec(U[k])
             iters += 1
             # bi-orthogonalise the new direction against p_0..p_{k-1}
             for i in range(k):
-                alpha = float(P[i] @ G[:, k]) / Ms[i, i]
-                G[:, k] -= alpha * G[:, i]
-                U[:, k] -= alpha * U[:, i]
-            Ms[k:, k] = P[k:] @ G[:, k]
+                alpha = float(P[i] @ G[k]) / Ms[i, i]
+                G[k] -= alpha * G[i]
+                U[k] -= alpha * U[i]
+            Ms[k:, k] = P[k:] @ G[k]
             if Ms[k, k] == 0.0 or not np.isfinite(Ms[k, k]):
                 # breakdown: the new direction is orthogonal to p_k (or
                 # the recurrence produced non-finite garbage).  r and x
@@ -199,8 +219,8 @@ def _idrs_impl(
                 break
             # make r orthogonal to p_0..p_k
             beta = f[k] / Ms[k, k]
-            r = r - beta * G[:, k]
-            x = x + beta * U[:, k]
+            r = r - beta * G[k]
+            x = x + beta * U[k]
             resnorm = safe_norm(r)
             hist.append(resnorm)
             if tr.enabled:

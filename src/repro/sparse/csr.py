@@ -3,14 +3,16 @@
 The paper's whole pipeline operates on CSR: the Krylov solver's SpMV,
 the supervariable blocking (which inspects row patterns), and the
 diagonal-block extraction (Section III-C, which walks ``row-ptr`` /
-``col-indices`` exactly as Figure 3 depicts).  This is a from-scratch
-implementation; only a vectorised NumPy SpMV is needed for the solver
-to be practical at the suite's sizes.
+``col-indices`` exactly as Figure 3 depicts).  The format and its
+structural operations are implemented here; the SpMV, which the Krylov
+solver runs once per iteration, calls SciPy's compiled CSR kernel on
+the matrix's own arrays (as MAGMA-sparse's IDR calls a compiled SpMV).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 __all__ = ["CsrMatrix"]
 
@@ -21,6 +23,12 @@ class CsrMatrix:
     Invariants: ``indptr`` is nondecreasing with ``indptr[0] == 0`` and
     ``indptr[-1] == nnz``; column indices are strictly increasing
     within each row (the constructor sorts them if necessary).
+
+    After any sort the constructor wraps ``indptr``, ``indices`` and
+    ``values`` in one ``scipy.sparse.csr_array`` view (``copy=False``)
+    for :meth:`matvec`.  SciPy 1.17 keeps the int64 indices and shares
+    all three arrays, so no nnz-sized copy is made and in-place writes
+    to the arrays reach the kernel; rebinding an attribute does not.
     """
 
     def __init__(self, n_rows, n_cols, indptr, indices, values, sort=True):
@@ -46,6 +54,11 @@ class CsrMatrix:
             raise ValueError("column index out of range")
         if sort:
             self._sort_indices(indices, values)
+        self._spmv = scipy.sparse.csr_array(
+            (self.values, self.indices, self.indptr),
+            shape=(self.n_rows, self.n_cols),
+            copy=False,
+        )
 
     def _sort_indices(self, indices, values) -> None:
         """Sort each row's column indices in place (stable, so values of
@@ -117,28 +130,19 @@ class CsrMatrix:
     # -- kernels -------------------------------------------------------------
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix-vector product ``y = A x`` (vectorised).
+        """Sparse matrix-vector product ``y = A x``.
 
-        Implemented with a gather + segmented reduction
-        (``np.add.reduceat``), the standard pure-NumPy CSR SpMV.
+        Runs SciPy's compiled CSR kernel on the shared view built by
+        the constructor.  The result has dtype
+        ``np.result_type(x, values)``; repeated columns of an unsorted
+        matrix (``sort=False``) are summed.
         """
         x = np.asarray(x)
         if x.shape != (self.n_cols,):
             raise ValueError(
                 f"x must have shape ({self.n_cols},), got {x.shape}"
             )
-        if self.nnz == 0:
-            return np.zeros(self.n_rows, dtype=np.result_type(x, self.values))
-        prod = self.values * x[self.indices]
-        # reduceat over the starts of the *nonempty* rows only: between
-        # two nonempty starts the segment contains exactly one row's
-        # elements (empty rows contribute nothing), and clamped/repeated
-        # indices - which corrupt the preceding segment - never occur.
-        counts = np.diff(self.indptr)
-        nonempty = counts > 0
-        y = np.zeros(self.n_rows, dtype=prod.dtype)
-        y[nonempty] = np.add.reduceat(prod, self.indptr[:-1][nonempty])
-        return y
+        return self._spmv @ x
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.precond import BlockJacobiPreconditioner, ScalarJacobiPreconditioner
 from repro.solvers import bicgstab, cg, gmres, idrs, stationary_richardson
+from repro.solvers import idr as idr_module
+from repro.solvers.idr import _forward_solve
 from repro.sparse import (
     convection_diffusion_2d,
     fem_block_2d,
@@ -272,3 +274,68 @@ class TestBreakdownHardening:
                      record_history=True)
         assert r.breakdown is not None
         assert all(np.isfinite(h) for h in r.history[:-1])
+
+
+class _SingularEyeNumpy:
+    """NumPy as ``repro.solvers.idr`` sees it, except that the first
+    ``poisoned`` identities built for ``Ms`` get an exact zero as their
+    last diagonal entry, so the next triangular solve on ``Ms[k:, k:]``
+    meets a zero diagonal below ``k``.  ``eyes`` counts the identities
+    built: one at the start plus one per shadow-space restart."""
+
+    def __init__(self, poisoned):
+        self.poisoned = poisoned
+        self.eyes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def eye(self, n):
+        self.eyes += 1
+        out = np.eye(n)
+        if self.eyes <= self.poisoned:
+            out[-1, -1] = 0.0
+        return out
+
+
+class TestIDRTriangularSolve:
+    """The per-step solve with the lower-triangular ``Ms`` is a forward
+    substitution; a zero or non-finite diagonal entry is a shadow-space
+    breakdown, answered by a re-seeded restart."""
+
+    def test_forward_solve_matches_lapack(self):
+        rng = np.random.default_rng(3)
+        for s in range(1, 9):
+            L = np.tril(rng.standard_normal((s, s))) + 3.0 * np.eye(s)
+            f = rng.standard_normal(s)
+            np.testing.assert_allclose(
+                _forward_solve(L, f), np.linalg.solve(L, f), rtol=1e-13
+            )
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("j", [0, 2, 3])
+    def test_forward_solve_flags_a_bad_diagonal(self, bad, j):
+        L = np.tril(np.ones((4, 4))) + np.eye(4)
+        L[j, j] = bad
+        assert _forward_solve(L, np.ones(4)) is None
+
+    def test_zero_diagonal_below_k_restarts_once(self, nonsym, monkeypatch):
+        b = np.ones(nonsym.n_rows)
+        shim = _SingularEyeNumpy(poisoned=1)
+        monkeypatch.setattr(idr_module, "np", shim)
+        r = idrs(nonsym, b, s=4, record_history=True)
+        # the step k = 0 meets Ms[3, 3] == 0 before its matvec: one
+        # restart with a fresh shadow space, then a clean solve
+        assert shim.eyes == 2
+        assert r.converged and r.breakdown is None
+        assert len(r.history) == r.iterations + 1
+
+    def test_zero_diagonal_every_cycle_gives_up(self, nonsym, monkeypatch):
+        b = np.ones(nonsym.n_rows)
+        shim = _SingularEyeNumpy(poisoned=10**9)
+        monkeypatch.setattr(idr_module, "np", shim)
+        r = idrs(nonsym, b, s=4, max_restarts=3, record_history=True)
+        assert shim.eyes == 4  # the first Ms and 3 restarts
+        assert not r.converged
+        assert r.breakdown == "shadow_space_breakdown"
+        assert r.iterations == 0 and len(r.history) == 1

@@ -1,9 +1,39 @@
 """Unit tests for the COO/CSR formats (repro.sparse.coo / .csr)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sparse import CooMatrix, CsrMatrix
+from repro.sparse import CooMatrix, CsrMatrix, fem_block_2d
+from tests.strategies import raw_csr_arrays, seeds
+
+#: the dtypes a right-hand side of ``matvec`` is checked with
+X_DTYPES = (np.int64, np.float32, np.float64, np.complex128)
+
+
+def reduceat_matvec(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
+    """The pure-NumPy CSR SpMV ``matvec`` used to run (a gather, then
+    ``np.add.reduceat`` over the starts of the nonempty rows), kept
+    here as the oracle for SciPy's compiled kernel."""
+    dtype = np.result_type(x, A.values)
+    if A.nnz == 0:
+        return np.zeros(A.n_rows, dtype=dtype)
+    prod = A.values * x[A.indices]
+    nonempty = np.diff(A.indptr) > 0
+    y = np.zeros(A.n_rows, dtype=dtype)
+    y[nonempty] = np.add.reduceat(prod, A.indptr[:-1][nonempty])
+    return y
+
+
+def draw_x(rng, n: int, dtype) -> np.ndarray:
+    if dtype == np.int64:
+        return rng.integers(-9, 10, n)
+    x = rng.standard_normal(n)
+    if dtype == np.complex128:
+        x = x + 1j * rng.standard_normal(n)
+    return x.astype(dtype)
 
 
 class TestCoo:
@@ -72,6 +102,76 @@ class TestCsr:
         A = CsrMatrix.from_dense(dense)
         with pytest.raises(ValueError):
             A.matvec(np.ones(6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=raw_csr_arrays(),
+        sort=st.booleans(),
+        dtype=st.sampled_from(X_DTYPES),
+        seed=seeds,
+    )
+    def test_matvec_matches_the_reduceat_formula(self, raw, sort, dtype, seed):
+        """Empty rows, unsorted and repeated columns (``sort=False``
+        keeps both), rectangular shapes and ``nnz == 0``: within a few
+        ulps times the row length of the old formula, in its dtype."""
+        A = CsrMatrix(*raw, sort=sort)
+        x = draw_x(np.random.default_rng(seed), A.n_cols, dtype)
+        y = A.matvec(x)
+        ref = reduceat_matvec(A, x)
+        assert y.dtype == np.result_type(x, A.values) == ref.dtype
+        assert y.shape == (A.n_rows,)
+        # |y - ref| <= 4 eps * row length * (|A| |x|) per row
+        scale = np.zeros(A.n_rows)
+        np.add.at(
+            scale,
+            np.repeat(np.arange(A.n_rows), np.diff(A.indptr)),
+            np.abs(A.values * x[A.indices]),
+        )
+        bound = 4 * np.finfo(np.float64).eps * np.diff(A.indptr) * scale
+        assert (np.abs(y - ref) <= bound).all()
+
+    @pytest.mark.parametrize("dtype", X_DTYPES)
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 5), (0, 0)])
+    def test_matvec_without_nonzeros(self, shape, dtype):
+        A = CsrMatrix(*shape, np.zeros(shape[0] + 1), [], [])
+        x = draw_x(np.random.default_rng(0), shape[1], dtype)
+        y = A.matvec(x)
+        assert y.dtype == np.result_type(x, A.values)
+        np.testing.assert_array_equal(y, np.zeros(shape[0]))
+
+    def test_spmv_view_shares_the_arrays(self):
+        A = fem_block_2d(40, 40, 4)
+        view = A._spmv
+        assert view.indices.dtype == np.int64
+        for mine, scipys in (
+            (A.indptr, view.indptr),
+            (A.indices, view.indices),
+            (A.values, view.data),
+        ):
+            assert np.shares_memory(mine, scipys)
+        # in-place writes reach the kernel
+        x = np.ones(A.n_cols)
+        A.values *= 2.0
+        np.testing.assert_allclose(A.matvec(x), reduceat_matvec(A, x))
+
+    def test_first_matvec_makes_no_nnz_sized_copy(self):
+        """Building a matrix from existing arrays and running its first
+        SpMV allocates less than ``nnz`` int32 indices would take: an
+        int32 copy of the indices (or any copy of the values) fails."""
+        src = fem_block_2d(40, 40, 4)
+        x = np.ones(src.n_cols)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            A = CsrMatrix(
+                src.n_rows, src.n_cols, src.indptr, src.indices, src.values,
+                sort=False,
+            )
+            A.matvec(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * src.nnz
 
     def test_identity(self):
         eye = CsrMatrix.identity(5)
